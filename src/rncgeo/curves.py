@@ -13,6 +13,9 @@ locus is the curve.  Conversions go both ways:
   proportionality at the parameter (s : u); the solution is the vector of
   signed maximal minors, recovered exactly by interpolation at n+1 nodes.
 
+Equality of a parametrization and a matrix is decided by restricting the
+matrix to the curve (`_matrix_defines`), with no elimination.
+
 Intersections with codimension-two spaces are never split into points: the
 scheme is carried as the monic gcd of the two restricted pencil generators,
 which keeps all data rational even when the intersection points are not.
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .binforms import BinaryForm, binary_gcd, is_squarefree
+from .binforms import BinaryForm, binary_gcd, divide_exact, is_squarefree
 from .errors import (
     DimensionMismatch,
     NotGenericMatrix,
@@ -56,7 +59,7 @@ class ParamRnc:
     the map.
     """
 
-    __slots__ = ("n", "forms", "_det", "_quadspace")
+    __slots__ = ("n", "forms", "_det")
 
     def __init__(self, forms: Sequence[BinaryForm]):
         n = len(forms) - 1
@@ -80,7 +83,6 @@ class ParamRnc:
                 stage="param_rnc",
             )
         self._det = None
-        self._quadspace = None
 
     def coefficient_matrix(self) -> Matrix:
         return Matrix([f.coeffs for f in self.forms])
@@ -386,10 +388,10 @@ def quadric_space(curve) -> tuple:
     vector; determinantal curves contribute their 2 x 2 minors, which span
     the same C(n, 2)-dimensional space.  Comparing the canonical bases
     decides equality of curves, since a rnc is cut out by its quadrics.
+    `curve_equals` uses this only for two determinantal curves; it is the
+    elimination-based reference for the restriction check.
     """
     if isinstance(curve, ParamRnc):
-        if curve._quadspace is not None:
-            return curve._quadspace
         n = curve.n
         monos = monomials(n, 2)
         # coefficient vectors are integral after normalization
@@ -407,9 +409,7 @@ def quadric_space(curve) -> tuple:
                             conv[ka + kb] += ca * cb
             products.append(conv)
         rows = [[prod[a] for prod in products] for a in range(2 * n + 1)]
-        space = canonical_rowspace(nullspace(rows))
-        curve._quadspace = space
-        return space
+        return canonical_rowspace(nullspace(rows))
     if isinstance(curve, DetRnc):
         n = curve.n
         idx = monomial_index(monomials(n, 2))
@@ -441,15 +441,67 @@ def quadric_space(curve) -> tuple:
     raise TypeError(f"not a curve: {type(curve).__name__}")
 
 
+def _matrix_defines(curve: ParamRnc, det: DetRnc) -> bool:
+    """True iff the rank-one locus of `det` is the image of `curve`.
+
+    Restrict every column (T_j, B_j) to the curve: t_j = T_j(x),
+    b_j = B_j(x), binary forms of degree n.  Let (phi, psi) be the first
+    nonzero restricted column divided by its gcd.  The curves are equal iff
+    deg phi = 1, t_j psi = b_j phi for all j, and the quotients
+    h_j = t_j / phi (degree n-1) are linearly independent.
+
+    (<=) A constant row operation takes (phi, psi) to (u, s) and a constant
+    column operation takes the h_j to s^(j-1) u^(n-j); linear forms are
+    determined by their restrictions (x is linearly normal), so the two
+    operations turn the matrix into the transported Hankel matrix.  They
+    only recombine the 2 x 2 minors invertibly, so the minors span I_2(C),
+    the C(n, 2)-dimensional space of quadrics through the curve.
+    (=>) If t_j psi != b_j phi, the minor of column j with the first
+    nonzero column does not vanish on the curve.  Otherwise, if phi or psi
+    is 0 or deg phi = 0, a row operation yields a row vanishing on the
+    curve, hence a zero row; if deg phi >= 2 or the h_j are dependent, a
+    column operation yields a zero column.  Either way the minors are
+    dependent and cannot span I_2(C).
+    """
+    top, bottom = det.m
+    t = [restrict(curve, f) for f in top]
+    b = [restrict(curve, f) for f in bottom]
+    first = next(
+        ((tj, bj) for tj, bj in zip(t, b) if not (tj.is_zero and bj.is_zero)), None
+    )
+    if first is None or first[0].is_zero or first[1].is_zero:
+        return False
+    g = binary_gcd(*first)
+    phi, psi = divide_exact(first[0], g), divide_exact(first[1], g)
+    if phi.degree != 1:
+        return False
+    if any(tj * psi != bj * phi for tj, bj in zip(t, b)):
+        return False
+    # phi and psi are coprime, so phi divides every t_j
+    return Matrix([divide_exact(tj, phi).coeffs for tj in t]).det() != 0
+
+
 def curve_equals(a, b) -> bool:
-    """Exact image equality via the canonical quadric spaces."""
+    """Exact image equality of two curves.
+
+    A parametrization against a matrix is decided by restricting the matrix
+    to the curve (`_matrix_defines`), with no elimination.  Two
+    parametrizations compare one against the other's transported Hankel
+    matrix; two matrices compare their canonical quadric spaces.
+    """
     n_a = a.n if isinstance(a, (ParamRnc, DetRnc)) else None
     n_b = b.n if isinstance(b, (ParamRnc, DetRnc)) else None
     if n_a is None or n_b is None:
         raise TypeError("curve_equals compares curves")
     if n_a != n_b:
         raise DimensionMismatch("curves live in different spaces")
-    return quadric_space(a) == quadric_space(b)
+    if isinstance(a, DetRnc):
+        if isinstance(b, DetRnc):
+            return quadric_space(a) == quadric_space(b)
+        a, b = b, a
+    if isinstance(b, ParamRnc):
+        b = param_to_det(b)
+    return _matrix_defines(a, b)
 
 
 def reparametrize(curve: ParamRnc, a, b, c, d) -> ParamRnc:

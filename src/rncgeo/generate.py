@@ -73,11 +73,16 @@ def random_pencil(n: int, rng: random.Random, bound: int = 9) -> Pencil:
 def forward_datum(n: int, p: int, l: int, rng: random.Random):
     """A datum satisfied by a random curve: p points on it and l chords
     through n-1 distinct curve points each.  All parameters are distinct,
-    so no accidental incidences are introduced.  Returns (datum, curve)."""
+    so no accidental incidences are introduced.  Returns (datum, curve).
+
+    The parameter pool widens past the default bound only when the count
+    needs it (n >= 8 for the secant-heavy shapes), so smaller data keep
+    their seeded values."""
     from .construct import Datum
 
     curve = random_rnc(n, rng)
-    params = distinct_parameters(p + l * (n - 1), rng)
+    count = p + l * (n - 1)
+    params = distinct_parameters(count, rng, bound=max(30, (count + 1) // 2))
     points = [point_at_param(curve, t) for t in params[:p]]
     spaces = []
     for k in range(l):

@@ -46,6 +46,11 @@ class DegreeLedger:
         return self.intersection_lower_bound > self.bezout_bound
 
 
+def obstruction_ledger(n: int) -> DegreeLedger:
+    """The ledger every obstruction in P^n carries: 2n+1 > 2n."""
+    return DegreeLedger(n=n, intersection_lower_bound=2 * n + 1, bezout_bound=2 * n)
+
+
 @dataclass(frozen=True)
 class ObstructionCertificate:
     n: int
@@ -71,12 +76,21 @@ class ObstructionCertificate:
         return flags
 
     def verify(self) -> bool:
+        """Recompute every claim; the ledger is rebuilt from n, never read."""
+        monos = monomials(self.n, 2)
         return (
-            all(self.contains_flags().values())
-            and evaluate_poly(self.quadric, monomials(self.n, 2), self.excluded_point)
+            len(self.quadric) == len(monos)
+            and len(self.spaces) == 2
+            and len(self.points) == 3
+            and all(
+                x.n == self.n
+                for x in (*self.spaces, *self.points, self.excluded_point)
+            )
+            and self.ledger == obstruction_ledger(self.n)
+            and all(self.contains_flags().values())
+            and evaluate_poly(self.quadric, monos, self.excluded_point)
             == self.excluded_value
             and self.excluded_value != 0
-            and self.ledger.contradiction
         )
 
 
@@ -129,9 +143,6 @@ def nonexistence_certificate(datum) -> ObstructionCertificate:
             stage="obstruction:excluded_point",
             witness=p4,
         )
-    ledger = DegreeLedger(
-        n=n, intersection_lower_bound=2 * n + 1, bezout_bound=2 * n
-    )
     cert = ObstructionCertificate(
         n=n,
         quadric=tuple(quad),
@@ -139,7 +150,7 @@ def nonexistence_certificate(datum) -> ObstructionCertificate:
         points=(p1, p2, p3),
         excluded_point=p4,
         excluded_value=value,
-        ledger=ledger,
+        ledger=obstruction_ledger(n),
     )
     if not cert.verify():
         raise NotGeneric(

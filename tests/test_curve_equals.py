@@ -1,0 +1,145 @@
+"""Curve equality by restriction, checked against the quadric-space route.
+
+`quadric_space(a) == quadric_space(b)` decides equality by elimination and
+is the reference here; `curve_equals` must agree with it on every pair and
+must not eliminate at all when a parametrization meets a matrix.
+"""
+
+import random
+
+import pytest
+
+import rncgeo.curves as curves_module
+from rncgeo.curves import (
+    DetRnc,
+    curve_equals,
+    param_to_det,
+    quadric_space,
+    reparametrize,
+)
+from rncgeo.generate import random_invertible_matrix, random_rnc
+from rncgeo.projective import LinForm, ProjTransform, apply_transform
+
+SEEDS = range(3)
+
+
+def combine(forms, weights):
+    """sum_k weights[k] * forms[k] as a LinForm."""
+    n = forms[0].n
+    return LinForm(
+        [sum(w * f.coeffs[i] for w, f in zip(weights, forms)) for i in range(n + 1)]
+    )
+
+
+def row_op(det, a, b, c, d):
+    top, bottom = det.m
+    return DetRnc(
+        [
+            [combine([t, u], [a, b]) for t, u in zip(top, bottom)],
+            [combine([t, u], [c, d]) for t, u in zip(top, bottom)],
+        ]
+    )
+
+
+def column_op(det, matrix):
+    n = det.n
+    return DetRnc(
+        [
+            [combine(row, [matrix.entries[j][k] for j in range(n)]) for k in range(n)]
+            for row in det.m
+        ]
+    )
+
+
+def duplicate_column(det):
+    top, bottom = det.m
+    return DetRnc([[top[0], top[0], *top[2:]], [bottom[0], bottom[0], *bottom[2:]]])
+
+
+def tamper(det, rng):
+    top, bottom = det.m
+    j, i = rng.randrange(det.n), rng.randrange(det.n + 1)
+    coeffs = list(top[j].coeffs)
+    coeffs[i] += 1 if coeffs[i] != -1 else 2  # never the zero form
+    new_top = list(top)
+    new_top[j] = LinForm(coeffs)
+    return DetRnc([new_top, list(bottom)])
+
+
+def invertible_2x2(rng):
+    while True:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d - b * c:
+            return a, b, c, d
+
+
+def reference(a, b):
+    return quadric_space(a) == quadric_space(b)
+
+
+def cases(n, seed):
+    """(label, param, det, expected) for one seeded curve."""
+    rng = random.Random(f"curve-equals-{n}-{seed}")
+    curve = random_rnc(n, rng)
+    det = param_to_det(curve)
+    a, b, c, d = invertible_2x2(rng)
+    k = rng.choice([2, -3, 5])
+    yield "row_op", curve, row_op(det, a, b, c, d), True
+    yield "row_swap", curve, row_op(det, 0, 1, 1, 0), True
+    yield "column_op", curve, column_op(det, random_invertible_matrix(n, rng, 3)), True
+    yield "reparametrized", curve, param_to_det(reparametrize(curve, a, b, c, d)), True
+    yield "singular_row_op", curve, row_op(det, a, b, k * a, k * b), False
+    yield "duplicated_column", curve, duplicate_column(det), False
+    yield "tampered", curve, tamper(det, rng), False
+    yield "other_curve", curve, param_to_det(random_rnc(n, rng)), False
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_param_det_agrees_with_quadric_spaces(n):
+    for seed in SEEDS:
+        for label, curve, det, expected in cases(n, seed):
+            assert reference(curve, det) == expected, (n, seed, label)
+            assert curve_equals(curve, det) == expected, (n, seed, label)
+            assert curve_equals(det, curve) == expected, (n, seed, label)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_param_param_agrees_with_quadric_spaces(n):
+    for seed in SEEDS:
+        rng = random.Random(f"param-param-{n}-{seed}")
+        curve = random_rnc(n, rng)
+        a, b, c, d = invertible_2x2(rng)
+        moved = apply_transform(ProjTransform(random_invertible_matrix(n + 1, rng)), curve)
+        pairs = [
+            (reparametrize(curve, a, b, c, d), True),
+            (random_rnc(n, rng), False),
+            (moved, False),
+        ]
+        for other, expected in pairs:
+            assert reference(curve, other) == expected, (n, seed)
+            assert curve_equals(curve, other) == expected, (n, seed)
+            assert curve_equals(other, curve) == expected, (n, seed)
+
+
+def test_det_det_uses_quadric_spaces():
+    rng = random.Random("det-det")
+    curve = random_rnc(4, rng)
+    det = param_to_det(curve)
+    assert curve_equals(det, row_op(det, 1, 1, 0, 1))
+    assert not curve_equals(det, duplicate_column(det))
+
+
+def test_param_det_does_not_eliminate(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("curve_equals must not eliminate")
+
+    rng = random.Random("no-elimination")
+    curve = random_rnc(9, rng)
+    det = param_to_det(curve)
+    other = column_op(det, random_invertible_matrix(9, rng, 3))
+    different = param_to_det(random_rnc(9, rng))
+    monkeypatch.setattr(curves_module, "nullspace", forbidden)
+    monkeypatch.setattr(curves_module, "canonical_rowspace", forbidden)
+    assert curve_equals(curve, other)
+    assert not curve_equals(curve, duplicate_column(other))
+    assert not curve_equals(curve, different)

@@ -1,0 +1,80 @@
+"""Byte-identity of emitted existence certificates.
+
+Each entry pins the sha256 of `certificate_out(construct(datum))`, dumped
+with sorted keys, for forward data of all five existence shapes at
+n = 3..6 and two fixed seeds.  A change to any constructor, to the
+emitted matrix or parametrization, or to the report changes a digest.
+"""
+
+import hashlib
+import json
+
+from rncgeo.construct import construct
+from rncgeo.generate import forward_datum, rng_from_seed
+from rncgeo.serialize import certificate_out
+
+SHAPES = {
+    "n+3,0": lambda n: (n + 3, 0),
+    "n+2,1": lambda n: (n + 2, 1),
+    "3,n": lambda n: (3, n),
+    "2,n+1": lambda n: (2, n + 1),
+    "1,n+2": lambda n: (1, n + 2),
+}
+
+GOLDEN = {
+    "3:n+3,0:0": "a148aa6feb082ce9a3970202e91bea8e263a55ee937d9e15b68c739c34dce80a",
+    "3:n+3,0:1": "6570be530e613fab56bb5155338579a303747e643b96e71d4728c92e22a364a6",
+    "3:n+2,1:0": "5918e5182c128ca313a7bb2d6cff1a258abc07d28334d249f9da0920290442fc",
+    "3:n+2,1:1": "d27d6e3d336a736bf51e5238d81c449bed4b3c7d90e94982376b8ed73bad4711",
+    "3:3,n:0": "721391a49e2e201a621d525f688110ab69951eec9e64e4ff482b20e8fa595525",
+    "3:3,n:1": "a9cf5c53cd31d14658a80912a8555b58c9d306e38b1334abb72b4369910911a1",
+    "3:2,n+1:0": "5a0f13467b70b735915938feca7f2cf2079b362c6974950648c69e505b0f38fd",
+    "3:2,n+1:1": "18124678117c701788b29bf66ce2537bc7b8488a715c9ff2cd3b142bbea1360c",
+    "3:1,n+2:0": "c0d5936b0e7a8098d76d32eb4d394a385a5d321f1adb6c2a44a4b2ac719493c8",
+    "3:1,n+2:1": "f4a75663bb4c098a458127ee8168bc4125ce246c4a8ddca8b04701d2fa462a38",
+    "4:n+3,0:0": "409c062845ff9e084fb90d6759ba4286226cb28a65d8dbef30418eae69495baf",
+    "4:n+3,0:1": "6108d3be6dd633cb949ba6ca2f62e964856ffa2e07d5800fac21670d8648c5e9",
+    "4:n+2,1:0": "98d6bba1a801cae94c73f3bd2dd951f28eb1c6058813a6f1b281e0d79840e87b",
+    "4:n+2,1:1": "b559d7fdef20a2921eb1ed8e1aa44e093f4cfa1bcbe7ecd69fe439756d4cb4d9",
+    "4:3,n:0": "5ef053e2b2c4e3db1daba93414d2c2adea9d522305ec765355e4dcd74b855221",
+    "4:3,n:1": "61f6b6fd98646e6c73c7bbcc378117cdc6a09b65df2e9e6623795b478b68628d",
+    "4:2,n+1:0": "5a217a7f0499f291a660138f99407dd4213565c8ceb1ecb87a718dc69cde90f1",
+    "4:2,n+1:1": "ddc52b7677c8f90bd229a92b8ee1e265e3f1e3b1a95d8b21c73762da465627b3",
+    "4:1,n+2:0": "248488234fd9fef308bfbc411a2885567b987bec490f6e71869f95ca2541a3f7",
+    "4:1,n+2:1": "de2d0295e424e4487e259dd196b46310b4d72579609455e1ad6ead36e59da760",
+    "5:n+3,0:0": "319ab5f7abd17ce8aa7274db518fe37c4602e18079e26236f4ab90457147b04d",
+    "5:n+3,0:1": "af9f2987d5058729444d34d0cece1ee8346ed18eb5ca285423fe37714de44260",
+    "5:n+2,1:0": "64e12415342ec51544784d8bcc26794bfb3ef4c831aad11ea380c27f101ce33e",
+    "5:n+2,1:1": "3aa1b106263e566bdbf78d64e1ebd0ccb5d61b601a402eb4a6ebf18519b19ed9",
+    "5:3,n:0": "32ad4f740f635b7e623f8aec5f4176845cfe1ac7eed17c2f4f1e7a7eecc14c68",
+    "5:3,n:1": "c432346a133b3fa9db4c1a14cfc3f2b131caa20e6f656d7cd577e5ef2a5bf30d",
+    "5:2,n+1:0": "10a7da3b8331669a9624e88d26d5f3fbc4f4977d7b86cf8ed577abf5fac29fc1",
+    "5:2,n+1:1": "42f4ce30220789d04a70fd5c6822ba290a33cb8584ac0d4cdc811fb965d8572c",
+    "5:1,n+2:0": "5a683a8893fdc571a40e36dcafa31833c7cf191d63883766f14368c9135c2a09",
+    "5:1,n+2:1": "93ce60257f1cb3a08aaca04d881f34c2a424eef2766d3f1fe6d3497db98004de",
+    "6:n+3,0:0": "6a825611b50dcc59f5987bc5fd7e5d67df702a82e1f5f465e81a6203bf2ccdd5",
+    "6:n+3,0:1": "a95b77e94f2307f21cb0d54cd5e6c65f8a049f92e9ba271e298913731fdfea63",
+    "6:n+2,1:0": "4c7136607c631bdb5441f2c8d43c517b63d8fdc71a1762fd91d848a1df23cac8",
+    "6:n+2,1:1": "9c8bc6d06d0ede45689b7138864b07556b9266600e7b3aa9bc939ca28dcb5a05",
+    "6:3,n:0": "ea6346cde2aa13bd99a1ff5f60e1cbbf96e151f8b499e1a0fdff2e198e7241b3",
+    "6:3,n:1": "e3bf81caa22029aff647ecec0d20519609946ce75e18da3111bb61715252382a",
+    "6:2,n+1:0": "08c3a321d48f7b52671489081236569c352cae7ea1ae52e723d4ecbcee40a404",
+    "6:2,n+1:1": "26754700cdb17eab9e7008863c5c59e0014196fa1aa91d4063381d3e5c98b2f7",
+    "6:1,n+2:0": "99be1970a33f2cf76e8aaef48c0aefd431f9b479d6e452524734e4a9dab75c5b",
+    "6:1,n+2:1": "10cc84bb855d533b4d8a17de663fdb942bc8fa8948c41bae09106cc46f6fa76d",
+}
+
+
+def certificate_digest(key):
+    n, tag, seed = key.split(":")
+    n = int(n)
+    p, l = SHAPES[tag](n)
+    datum, _ = forward_datum(n, p, l, rng_from_seed(("golden", n, tag, int(seed))))
+    doc = certificate_out(construct(datum))
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_certificate_bytes_unchanged():
+    assert len(GOLDEN) == 4 * len(SHAPES) * 2
+    changed = [key for key, digest in GOLDEN.items() if certificate_digest(key) != digest]
+    assert not changed

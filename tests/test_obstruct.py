@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as QQ
 
 import pytest
@@ -5,9 +6,10 @@ import pytest
 from rncgeo.construct import Datum, expected_count
 from rncgeo.errors import BadShape, ObstructionFails
 from rncgeo.generate import random_datum, rng_from_seed
-from rncgeo.obstruct import nonexistence_certificate, obstruction_quadric
+from rncgeo.obstruct import DegreeLedger, nonexistence_certificate, obstruction_quadric
 from rncgeo.projective import LinForm, Pencil, ProjPoint
 from rncgeo.quadrics import evaluate_poly, monomial_index, monomials
+from rncgeo.serialize import obstruction_in, obstruction_out
 
 L1 = Pencil(LinForm([1, 0, 0, 0]), LinForm([0, 1, 0, 0]))
 L2 = Pencil(LinForm([0, 0, 1, 0]), LinForm([0, 0, 0, 1]))
@@ -92,3 +94,37 @@ def test_quadric_kernel_dimension_n4():
     )
     lead = next(c for c in quad if c)
     assert lead == 1
+
+
+def concrete_certificate():
+    datum = Datum(n=3, spaces=(L1, L2), points=(P1, P2, P3, ProjPoint([1, 1, 2, 3])))
+    return nonexistence_certificate(datum)
+
+
+def test_verify_rebuilds_the_ledger_from_n():
+    cert = concrete_certificate()
+    for lower, bezout in ((1, 0), (9, 8), (7, 7)):
+        tampered = replace(
+            cert, ledger=DegreeLedger(n=3, intersection_lower_bound=lower, bezout_bound=bezout)
+        )
+        assert not tampered.verify()
+    assert not replace(cert, ledger=replace(cert.ledger, n=4)).verify()
+
+
+def test_verify_rejects_wrong_length_quadric():
+    cert = concrete_certificate()
+    assert not replace(cert, quadric=cert.quadric[:-1]).verify()
+    assert not replace(cert, quadric=cert.quadric + (QQ(0),)).verify()
+
+
+def test_verify_rejects_missing_containments():
+    cert = concrete_certificate()
+    assert not replace(cert, spaces=cert.spaces[:1]).verify()
+    assert not replace(cert, points=()).verify()
+
+
+def test_tampered_ledger_document_fails():
+    doc = obstruction_out(concrete_certificate())
+    assert obstruction_in(doc).verify()
+    doc["ledger"] = {"intersection_lower_bound": 1, "bezout_bound": 0}
+    assert not obstruction_in(doc).verify()

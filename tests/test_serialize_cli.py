@@ -168,6 +168,21 @@ def test_cli_construct_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_verify_rejects_duplicated_det_column(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(steiner_datum_doc()))
+    code, out = run_cli(capsys, "construct", str(path))
+    assert code == 0
+    cert_doc = json.loads(out)
+    for row in cert_doc["det"]["rows"]:
+        row[1] = row[0]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert_doc))
+    code, out = run_cli(capsys, "verify", str(cert_path))
+    assert code == 10
+    assert json.loads(out)["passed"] is False
+
+
 def test_cli_construct_obstruction_exit(tmp_path, capsys):
     rng = rng_from_seed(11)
     datum, _ = random_datum(3, 4, 2, rng)
