@@ -170,7 +170,7 @@ def _int_coeffs(form: BinaryForm) -> list[int]:
     for c in form.coeffs:
         d = c.denominator
         lcm = lcm // int_gcd(lcm, d) * d
-    return [int(c * lcm) for c in form.coeffs]
+    return [c.numerator * (lcm // c.denominator) for c in form.coeffs]
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:

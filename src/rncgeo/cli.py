@@ -48,6 +48,7 @@ from .serialize import (
     defect_witness_out,
     from_doc,
     interpolation_suite_out,
+    obstruction_in,
     obstruction_out,
     postulation_report_out,
     report_out,
@@ -165,9 +166,24 @@ def cmd_construct(args) -> int:
     return EXIT_UNSUPPORTED
 
 
+def _verify_obstruction(doc: dict, fmt: str) -> int:
+    """Recompute every claim of a non-existence certificate."""
+    passed = bool(obstruction_in(doc).verify())
+    out = {
+        "version": VERSION,
+        "kind": "verification",
+        "certificate": "obstruction_certificate",
+        "passed": passed,
+    }
+    _emit(out, f"verification: {'PASS' if passed else 'FAIL'}", fmt)
+    return EXIT_OK if passed else EXIT_NEGATIVE
+
+
 def cmd_verify(args) -> int:
     doc = _read_document(args.input)
     kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind == "obstruction_certificate":
+        return _verify_obstruction(doc, args.format)
     if kind == "existence_certificate":
         cert = certificate_in(doc)
         report = verify_datum(cert.curve, cert.datum)
@@ -180,7 +196,8 @@ def cmd_verify(args) -> int:
         consistent = report.passed
     else:
         raise ParseError(
-            "verify expects a verify_request or existence_certificate document"
+            "verify expects a verify_request, existence_certificate or "
+            "obstruction_certificate document"
         )
     out = {"version": VERSION, "kind": "verification", **report_out(report)}
     out["passed"] = bool(consistent)
@@ -336,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="re-verify a certificate or curve+datum")
-    p.add_argument("input", help="verify_request or existence_certificate document")
+    p.add_argument(
+        "input",
+        help="verify_request, existence_certificate or obstruction_certificate document",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("obstruct", help="produce a non-existence certificate")

@@ -11,7 +11,13 @@ locus is the curve.  Conversions go both ways:
   lets `param_of_point` read a parameter off any nonzero column.
 * det -> param solves the n x (n+1) linear system expressing row
   proportionality at the parameter (s : u); the solution is the vector of
-  signed maximal minors, recovered exactly by interpolation at n+1 nodes.
+  signed maximal minors.  At each of the n+1 nodes s/u = 0..n one
+  fraction-free elimination yields all of them, and a cached integer
+  inverse Vandermonde matrix interpolates the minor forms exactly.
+
+Restriction of a linear form and evaluation at a point run on integers:
+the curve keeps its primitive integer coefficients, and the transported
+Hankel matrix has primitive integer columns.
 
 Equality of a parametrization and a matrix is decided by restricting the
 matrix to the curve (`_matrix_defines`), with no elimination.
@@ -24,6 +30,7 @@ which keeps all data rational even when the intersection points are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
 from .binforms import BinaryForm, binary_gcd, divide_exact, is_squarefree
@@ -33,7 +40,13 @@ from .errors import (
     RepeatedParameter,
     ZeroParameter,
 )
-from .linalg import Matrix, canonical_rowspace, int_det, joint_integerize, nullspace
+from .linalg import (
+    Matrix,
+    canonical_rowspace,
+    joint_integerize,
+    nullspace,
+    signed_maximal_minors,
+)
 from .projective import (
     LinForm,
     Pencil,
@@ -56,10 +69,11 @@ class ParamRnc:
 
     Forms are stored jointly rescaled to a primitive integer coefficient
     vector with positive leading entry; a common rescaling does not change
-    the map.
+    the map.  `ints` keeps those coefficients as Python integers, one row
+    per form.
     """
 
-    __slots__ = ("n", "forms", "_det")
+    __slots__ = ("n", "forms", "ints", "_det")
 
     def __init__(self, forms: Sequence[BinaryForm]):
         n = len(forms) - 1
@@ -72,9 +86,10 @@ class ParamRnc:
         lead = next((x for x in ints if x), 0)
         if lead < 0:
             ints = [-x for x in ints]
-        self.forms = tuple(
-            BinaryForm(n, ints[i * (n + 1): (i + 1) * (n + 1)]) for i in range(n + 1)
+        self.ints = tuple(
+            tuple(ints[i * (n + 1): (i + 1) * (n + 1)]) for i in range(n + 1)
         )
+        self.forms = tuple(BinaryForm(n, row) for row in self.ints)
         self.n = n
         coeff_matrix = Matrix([f.coeffs for f in self.forms])
         if coeff_matrix.det() == 0:
@@ -208,16 +223,25 @@ def param_to_det(curve: ParamRnc) -> DetRnc:
     return det
 
 
-_VANDERMONDE_INV: dict[int, Matrix] = {}
+_INTERPOLATION: dict[int, tuple[int, tuple]] = {}
 
 
-def _vandermonde_inverse(n: int) -> Matrix:
-    inv = _VANDERMONDE_INV.get(n)
-    if inv is None:
+def _interpolation(n: int) -> tuple[int, tuple]:
+    """(D, D V^-1) for the Vandermonde matrix V[t][k] = t^k of the nodes
+    t = 0..n, D being the lcm of the denominators of V^-1: integer rows
+    that take the values of a degree-n polynomial at the nodes to D times
+    its coefficients."""
+    cached = _INTERPOLATION.get(n)
+    if cached is None:
         v = Matrix([[QQ(t) ** k for k in range(n + 1)] for t in range(n + 1)])
-        inv = v.inverse()
-        _VANDERMONDE_INV[n] = inv
-    return inv
+        inv = v.inverse().entries
+        scale = lcm(*(x.denominator for row in inv for x in row))
+        rows = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row) for row in inv
+        )
+        cached = (scale, rows)
+        _INTERPOLATION[n] = cached
+    return cached
 
 
 def det_to_param(det: DetRnc) -> ParamRnc:
@@ -225,8 +249,10 @@ def det_to_param(det: DetRnc) -> ParamRnc:
 
     A point with parameter (s : u) satisfies s*M1j - u*M2j = 0 for every
     column j; the k-th coordinate of the solution of that n x (n+1) system
-    is (-1)^k times the k-th maximal minor, a binary form of degree n read
-    off by interpolation at s/u = 0..n.
+    is (-1)^k times the k-th maximal minor, a binary form of degree n with
+    integer coefficients.  One elimination per node s/u = 0..n gives all
+    n+1 minors there; the integer interpolation rows give D times the
+    coefficients, and D divides out exactly.
     """
     if det._param is not None:
         return det._param
@@ -236,14 +262,22 @@ def det_to_param(det: DetRnc) -> ParamRnc:
     columns = [
         joint_integerize([top[j].coeffs, bottom[j].coeffs]) for j in range(n)
     ]
-    values = [[0] * (n + 1) for _ in range(n + 1)]  # values[k][sample]
-    for r in range(n + 1):
-        rows = [[r * a - b for a, b in zip(*columns[j])] for j in range(n)]
-        for k in range(n + 1):
-            v = int_det([row[:k] + row[k + 1:] for row in rows])
-            values[k][r] = -v if k % 2 else v
-    vinv = _vandermonde_inverse(n)
-    forms = [BinaryForm(n, vinv.apply(values[k])) for k in range(n + 1)]
+    values = [  # values[r][k]: minor k at the node r
+        signed_maximal_minors(
+            [[r * a - b for a, b in zip(*columns[j])] for j in range(n)]
+        )
+        for r in range(n + 1)
+    ]
+    scale, interp = _interpolation(n)
+    forms = []
+    for k in range(n + 1):
+        coeffs = []
+        for weights in interp:
+            c, rem = divmod(sum(w * val[k] for w, val in zip(weights, values)), scale)
+            if rem:
+                raise ArithmeticError("minor values do not interpolate to integers")
+            coeffs.append(c)
+        forms.append(BinaryForm(n, coeffs))
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         raise NotGenericMatrix(
@@ -279,7 +313,16 @@ def param_of_point(curve: ParamRnc, point: ProjPoint) -> ProjPoint | None:
         raise DimensionMismatch("point and curve dimensions differ")
     det = param_to_det(curve)
     top, bottom = det.m
-    cols = [(f.at(point), g.at(point)) for f, g in zip(top, bottom)]
+    # both the columns and the integerized point are integer vectors; the
+    # rank-one test and the ratio b : a do not depend on the point's scale
+    x = integerize(point.coords)
+    cols = [
+        (
+            sum(c.numerator * xi for c, xi in zip(f.coeffs, x) if xi),
+            sum(c.numerator * xi for c, xi in zip(g.coeffs, x) if xi),
+        )
+        for f, g in zip(top, bottom)
+    ]
     first = next(((a, b) for a, b in cols if a or b), None)
     if first is None:
         return None
@@ -295,13 +338,18 @@ def restrict(curve: ParamRnc, form: LinForm) -> BinaryForm:
     if form.n != curve.n:
         raise DimensionMismatch("form and curve dimensions differ")
     n = curve.n
-    out = [QQ(0)] * (n + 1)
-    for a, f in zip(form.coeffs, curve.forms):
+    # scale the form to integers by the lcm of its denominators
+    scale = lcm(*(a.denominator for a in form.coeffs))
+    out = [0] * (n + 1)
+    for a, row in zip(form.coeffs, curve.ints):
         if a:
-            for k, c in enumerate(f.coeffs):
+            a = a.numerator * (scale // a.denominator)
+            for k, c in enumerate(row):
                 if c:
                     out[k] += a * c
-    return BinaryForm(n, out)
+    if scale == 1:
+        return BinaryForm(n, out)
+    return BinaryForm(n, [QQ(x, scale) for x in out])
 
 
 def secancy(curve: ParamRnc, pencil: Pencil) -> SecancyResult:
@@ -394,8 +442,7 @@ def quadric_space(curve) -> tuple:
     if isinstance(curve, ParamRnc):
         n = curve.n
         monos = monomials(n, 2)
-        # coefficient vectors are integral after normalization
-        int_forms = [[int(c) for c in f.coeffs] for f in curve.forms]
+        int_forms = curve.ints
         products = []
         for e in monos:
             i = next(k for k, v in enumerate(e) if v)

@@ -10,7 +10,7 @@ import random
 
 from .binforms import BinaryForm
 from .curves import ParamRnc, chord_space, point_at_param, parameter
-from .errors import DegenerateSpan, NotGeneric
+from .errors import BadDimension, DegenerateSpan, NotGeneric
 from .linalg import Matrix
 from .projective import LinForm, Pencil, ProjPoint, ProjTransform
 
@@ -80,6 +80,8 @@ def forward_datum(n: int, p: int, l: int, rng: random.Random):
     their seeded values."""
     from .construct import Datum
 
+    if l and n < 3:
+        raise BadDimension(f"secant spaces through curve points need n >= 3; got n = {n}")
     curve = random_rnc(n, rng)
     count = p + l * (n - 1)
     params = distinct_parameters(count, rng, bound=max(30, (count + 1) // 2))
@@ -91,26 +93,44 @@ def forward_datum(n: int, p: int, l: int, rng: random.Random):
     return Datum(n=n, spaces=tuple(spaces), points=tuple(points)), curve
 
 
+def draw_budget(p: int, l: int) -> int:
+    """How many uniform candidates `random_datum` draws before giving up:
+    repeats are rare in a roomy coordinate box, so the budget only runs out
+    when the box holds fewer distinct objects than requested."""
+    return 50 * (p + l) + 100
+
+
 def random_datum(n: int, p: int, l: int, rng: random.Random, forward: bool = False):
     """A seeded datum; `forward` also returns the curve that satisfies it.
 
     Non-forward data are independent uniform points and pencils (the right
-    input for the non-existence regime)."""
+    input for the non-existence regime), drawn until p distinct points and
+    l distinct pencils are found or `draw_budget(p, l)` candidates are
+    spent (NotGeneric).  n < 1 or a negative count raises BadDimension."""
     from .construct import Datum
 
+    if n < 1 or p < 0 or l < 0:
+        raise BadDimension(f"random data need n >= 1 and p, l >= 0; got ({n}, {p}, {l})")
     if forward:
         return forward_datum(n, p, l, rng)
-    points = []
-    while len(points) < p:
-        candidate = random_point(n, rng)
-        if candidate not in points:
-            points.append(candidate)
-    spaces = []
-    while len(spaces) < l:
-        candidate = random_pencil(n, rng)
-        if candidate not in spaces:
-            spaces.append(candidate)
-    return Datum(n=n, spaces=tuple(spaces), points=tuple(points)), None
+    budget = draw_budget(p, l)
+    left = budget
+    picked = []
+    for count, draw in ((p, random_point), (l, random_pencil)):
+        seen: dict = {}  # an insertion-ordered set
+        while len(seen) < count:
+            if not left:
+                raise NotGeneric(
+                    f"{budget} draws found only {len(seen)} distinct of {count} "
+                    "requested objects with coordinates in the sampling box",
+                    stage="generate:distinct",
+                    witness=len(seen),
+                )
+            left -= 1
+            seen.setdefault(draw(n, rng))
+        picked.append(tuple(seen))
+    points, spaces = picked
+    return Datum(n=n, spaces=spaces, points=points), None
 
 
 def retrying(attempts: int, builder, failure_message: str):

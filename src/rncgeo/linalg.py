@@ -5,9 +5,12 @@ every intermediate entry is a minor of the integer matrix, so there is no
 coefficient explosion beyond what the minors themselves require and no
 division error anywhere.  Kernels and solves use integer cross-elimination
 with content reduction, rationalizing only in the final normalization pass.
+All n + 1 signed maximal minors of an n x (n+1) integer matrix come from
+one Bareiss forward pass and one exact back substitution.
 
-All functions accept either a `Matrix` or a plain sequence of rows of
-scalars; rows are never mutated.
+The public operations accept either a `Matrix` or a plain sequence of rows
+of scalars and never mutate them; `signed_maximal_minors` takes integer
+rows and consumes them.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def _int_row(row) -> list[int]:
         for v in row:
             d = v.denominator
             lcm = lcm // gcd(lcm, d) * d
-        ints = [int(v * lcm) for v in row]
+        ints = [v.numerator * (lcm // v.denominator) for v in row]
     g = 0
     for x in ints:
         g = gcd(g, x)
@@ -138,7 +141,7 @@ def joint_integerize(vectors) -> list[list[int]]:
     for v in flat:
         d = v.denominator
         lcm = lcm // gcd(lcm, d) * d
-    ints = [int(v * lcm) for v in flat]
+    ints = [v.numerator * (lcm // v.denominator) for v in flat]
     g = 0
     for x in ints:
         g = gcd(g, x)
@@ -152,11 +155,6 @@ def joint_integerize(vectors) -> list[list[int]]:
     return out
 
 
-def int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (rows are consumed)."""
-    return _bareiss_det(rows)
-
-
 def _int_rows_scaled(rows):
     """Clear denominators row by row, returning the integer rows and the
     combined scale so that det(int rows) = scale * det(original)."""
@@ -167,7 +165,7 @@ def _int_rows_scaled(rows):
         for v in row:
             d = v.denominator
             lcm = lcm // gcd(lcm, d) * d
-        out.append([int(v * lcm) for v in row])
+        out.append([v.numerator * (lcm // v.denominator) for v in row])
         scale *= lcm
     return out, scale
 
@@ -184,12 +182,16 @@ def _content_reduce(row: list[int]) -> None:
 
 
 def _bareiss_forward(rows: list[list[int]], ncols: int):
-    """In-place fraction-free forward elimination; returns pivot columns.
+    """In-place fraction-free forward elimination; returns the pivot
+    columns and the sign of the row permutation.
 
     First-nonzero pivoting, no tolerances: entries stay exact minors.
+    Pivot row i ends up holding, in column j, the minor of the permuted
+    matrix on rows 0..i and columns pivots[:i] + [j].
     """
     m = len(rows)
     pivots = []
+    sign = 1
     rank = 0
     prev = 1
     for c in range(ncols):
@@ -204,6 +206,7 @@ def _bareiss_forward(rows: list[list[int]], ncols: int):
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
         prow = rows[rank]
         pv = prow[c]
         for i in range(rank + 1, m):
@@ -215,7 +218,7 @@ def _bareiss_forward(rows: list[list[int]], ncols: int):
         prev = pv
         pivots.append(c)
         rank += 1
-    return pivots
+    return pivots, sign
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -241,6 +244,36 @@ def _bareiss_det(rows: list[list[int]]) -> int:
             row[c] = 0
         prev = pv
     return sign * rows[n - 1][n - 1]
+
+
+def signed_maximal_minors(rows: list[list[int]]) -> list[int]:
+    """The signed maximal minors of an n x (n+1) integer matrix A, from one
+    fraction-free elimination (rows are consumed).
+
+    Entry k is (-1)^k det A_{-k}, A_{-k} being A without column k; the
+    vector spans the kernel of A whenever it is nonzero.  Rank < n makes
+    every minor 0.  Otherwise the pivot columns P leave one free column q,
+    det A[:, P] = sign * U[n-1][P[n-1]] for the eliminated matrix U, and
+    back substitution from x_q = det A[:, P] gives the kernel vector x with
+    x_k = (-1)^(k+q) det A_{-k} (Cramer), so every division is exact.
+    """
+    n = len(rows)
+    pivots, sign = _bareiss_forward(rows, n + 1)
+    if len(pivots) < n:
+        return [0] * (n + 1)
+    q = next(c for c in range(n + 1) if c not in pivots)
+    x = [0] * (n + 1)
+    x[q] = sign * rows[n - 1][pivots[n - 1]]
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        total = row[q] * x[q]
+        for c in pivots[i + 1:]:
+            total += row[c] * x[c]
+        quot, rem = divmod(-total, row[pivots[i]])
+        if rem:
+            raise ArithmeticError("inexact back substitution: not a Cramer minor")
+        x[pivots[i]] = quot
+    return [-v for v in x] if q % 2 else x
 
 
 def _rref(rows: list[list[int]], ncols: int):
@@ -304,7 +337,7 @@ def ff_rank(m) -> int:
     rows = _int_rows(_rows_of(m))
     if not rows or not rows[0]:
         return 0
-    return len(_bareiss_forward(rows, len(rows[0])))
+    return len(_bareiss_forward(rows, len(rows[0]))[0])
 
 
 def nullspace(m) -> list[Vector]:

@@ -60,7 +60,7 @@ def integerize(values) -> list[int]:
     for v in values:
         d = v.denominator
         lcm = lcm // gcd(lcm, d) * d
-    ints = [int(v * lcm) for v in values]
+    ints = [v.numerator * (lcm // v.denominator) for v in values]
     g = 0
     for x in ints:
         g = gcd(g, x)

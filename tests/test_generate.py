@@ -5,7 +5,7 @@ import pytest
 
 from rncgeo.cli import main
 from rncgeo.curves import verify_datum
-from rncgeo.generate import forward_datum, rng_from_seed
+from rncgeo.generate import draw_budget, forward_datum, rng_from_seed
 
 SHAPES = {
     "n+3,0": lambda n: (n + 3, 0),
@@ -41,3 +41,47 @@ def test_cli_random_datum_forward_n8(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["forward"] is True
     assert len(doc["datum"]["spaces"]) == 9
+
+
+# -- bounded uniform data -------------------------------------------------------
+
+
+def run_random_datum(capsys, *argv):
+    code = main(["random-datum", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_random_datum_gives_up_when_the_box_runs_out(capsys):
+    # P^1 holds about 110 distinct points with coordinates in [-9, 9]
+    code, doc = run_random_datum(capsys, "1", "500", "0")
+    assert code == 11
+    assert doc["error_class"] == "not_generic"
+    assert doc["stage"] == "generate:distinct"
+    assert draw_budget(500, 0) == 25100
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("3", "-2", "0"), ("3", "2", "-1"), ("0", "2", "0"), ("-1", "0", "0"),
+     ("1", "0", "1", "--forward"), ("2", "1", "1", "--forward")],
+)
+def test_random_datum_rejects_bad_sizes(capsys, argv):
+    code, doc = run_random_datum(capsys, *argv)
+    assert code == 13
+    assert doc["kind"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("4", "5", "2", "--seed", "7"),
+         "4bee7cc592a7e209e6fea8850c05028ad4a5b2b39ee5992c170fa8fe11a56e63"),
+        # 119 draws for 60 distinct points of P^1: the dedupe skips 59 repeats
+        (("1", "60", "0", "--seed", "4"),
+         "7d9d1cf1ef9fa1a914b600591b2b42d173bb2f33022e469a4a39111e3efd9848"),
+    ],
+)
+def test_uniform_random_datum_keeps_its_seeds(capsys, argv, digest):
+    assert main(["random-datum", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

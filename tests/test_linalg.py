@@ -1,10 +1,19 @@
+import random
 from fractions import Fraction as QQ
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rncgeo.linalg import Matrix, canonical_rowspace, ff_rank, linsolve, nullspace
+from rncgeo.linalg import (
+    Matrix,
+    canonical_rowspace,
+    ff_rank,
+    linsolve,
+    nullspace,
+    signed_maximal_minors,
+)
 
 
 def test_rank_identity():
@@ -112,3 +121,61 @@ def test_canonical_rowspace_invariance():
     ]
     assert canonical_rowspace(rows) == canonical_rowspace(mixed)
     assert canonical_rowspace(rows) != canonical_rowspace([[1, 2, 3, 5], [0, 1, 1, 1]])
+
+
+# -- signed maximal minors ------------------------------------------------------
+
+
+def cofactor_minors(rows):
+    """(-1)^k det of the matrix without column k, one determinant each."""
+    ncols = len(rows[0])
+    out = []
+    for k in range(ncols):
+        d = Matrix([row[:k] + row[k + 1:] for row in rows]).det()
+        out.append(int(-d if k % 2 else d))
+    return out
+
+
+def special_matrices(n, rng):
+    """Shapes that exercise every branch of the back substitution."""
+    def rand_rows():
+        return [[rng.randint(-6, 6) for _ in range(n + 1)] for _ in range(n)]
+
+    cases = []
+    rows = rand_rows()  # rank < n: a repeated row (or a zero row at n = 1)
+    rows[-1] = rows[0][:] if n > 1 else [0, 0]
+    cases.append(rows)
+    if n > 1:
+        rows = rand_rows()  # proportional rows
+        rows[1] = [-3 * x for x in rows[0]]
+        cases.append(rows)
+        rows = rand_rows()  # singular leading n x n block: free column 1
+        for row in rows:
+            row[1] = 2 * row[0]
+        cases.append(rows)
+    rows = rand_rows()  # zero first column: free column 0
+    for row in rows:
+        row[0] = 0
+    cases.append(rows)
+    cases.append([[0] * (n + 1) for _ in range(n)])
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_signed_maximal_minors_match_cofactors(n):
+    rng = random.Random(f"minors-{n}")
+    matrices = [
+        [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n)]
+        for _ in range(12)
+    ]
+    matrices += special_matrices(n, rng)
+    for rows in matrices:
+        expected = cofactor_minors(rows)
+        assert signed_maximal_minors([row[:] for row in rows]) == expected, rows
+
+
+def test_signed_maximal_minors_span_the_kernel():
+    rows = [[1, 2, 3, 4], [0, 1, 1, 2], [2, 0, 1, 5]]
+    minors = signed_maximal_minors([row[:] for row in rows])
+    assert any(minors)
+    assert all(sum(a * x for a, x in zip(row, minors)) == 0 for row in rows)

@@ -406,3 +406,34 @@ def test_cli_not_generic_exit(tmp_path, capsys):
     parsed = json.loads(out)
     assert parsed["error_class"] == "not_generic"
     assert "witness" in parsed
+
+
+def obstruction_doc():
+    datum, _ = random_datum(3, 4, 2, rng_from_seed(11))
+    return obstruction_out(nonexistence_certificate(datum))
+
+
+def test_cli_verify_obstruction_certificate(tmp_path, capsys):
+    path = tmp_path / "obstruction.json"
+    path.write_text(json.dumps(obstruction_doc()))
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "verification"
+    assert doc["passed"] is True
+    code, out = run_cli(capsys, "--format", "text", "verify", str(path))
+    assert code == 0 and "PASS" in out
+
+
+def test_cli_verify_rejects_tampered_obstructions(tmp_path, capsys):
+    ledger = obstruction_doc()
+    ledger["ledger"] = {"intersection_lower_bound": 1, "bezout_bound": 0}
+    quadric = obstruction_doc()
+    k = next(i for i, c in enumerate(quadric["quadric"]) if c != 0)
+    quadric["quadric"][k] = "7/3" if quadric["quadric"][k] != "7/3" else 2
+    for name, doc in (("ledger", ledger), ("quadric", quadric)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "verify", str(path))
+        assert code == 10, name
+        assert json.loads(out)["passed"] is False
