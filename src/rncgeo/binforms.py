@@ -17,7 +17,7 @@ from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
 from .errors import BothZero, ZeroForm, ZeroParameter
-from .scalars import QQ
+from .scalars import QQ, integerize
 
 
 class BinaryForm:
@@ -165,14 +165,6 @@ def _primitive(p: list[int]) -> list[int]:
     return [x // g for x in p[: d + 1]]
 
 
-def _int_coeffs(form: BinaryForm) -> list[int]:
-    lcm = 1
-    for c in form.coeffs:
-        d = c.denominator
-        lcm = lcm // int_gcd(lcm, d) * d
-    return [c.numerator * (lcm // c.denominator) for c in form.coeffs]
-
-
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of primitive integer polynomials, deg a >= deg b."""
     r = a[:]
@@ -215,7 +207,10 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         return g.monic()
     if g.is_zero:
         return f.monic()
-    fi, gi = _int_coeffs(f), _int_coeffs(g)
+    # integerize also divides by the content; that is harmless here because
+    # _poly_gcd_int makes its inputs primitive anyway and the u-multiplicity
+    # reads only degrees
+    fi, gi = integerize(f.coeffs), integerize(g.coeffs)
     u_mult = min(f.degree - _deg(fi), g.degree - _deg(gi))
     core = _poly_gcd_int(fi, gi)
     deg = _deg(core) + u_mult
@@ -227,7 +222,7 @@ def is_squarefree(f: BinaryForm) -> bool:
     """True iff f has no repeated root on the projective line."""
     if f.is_zero:
         raise ZeroForm("squarefreeness of the zero form")
-    fi = _int_coeffs(f)
+    fi = integerize(f.coeffs)  # squarefreeness reads only degrees and gcds
     d = _deg(fi)
     if f.degree - d >= 2:  # (1:0) is a root of multiplicity >= 2
         return False

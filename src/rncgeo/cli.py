@@ -19,6 +19,7 @@ import json
 import sys
 
 from .construct import (
+    METHODS,
     CountAnalysis,
     ExistenceCertificate,
     construct,
@@ -187,7 +188,13 @@ def cmd_verify(args) -> int:
     if kind == "existence_certificate":
         cert = certificate_in(doc)
         report = verify_datum(cert.curve, cert.datum)
-        consistent = report.passed and curve_equals(cert.curve, cert.det)
+        # the embedded report and the method are claims too
+        consistent = (
+            report.passed
+            and report == cert.report
+            and cert.method in METHODS
+            and curve_equals(cert.curve, cert.det)
+        )
     elif kind == "verify_request":
         curve, datum = from_doc(doc)
         if isinstance(curve, DetRnc):

@@ -138,6 +138,10 @@ class CountAnalysis:
     curve_count: int | None = None
 
 
+# every method an ExistenceCertificate can name
+METHODS = ("frame_fit", "cremona", "np2_one_space", "three_points", "two_points", "one_point")
+
+
 @dataclass(frozen=True)
 class ExistenceCertificate:
     """A constructed curve with its verified incidence report."""
@@ -169,15 +173,37 @@ class ExistenceCertificate:
         )
 
 
+def _certify(method: str, stage: str, rows, datum: Datum) -> ExistenceCertificate:
+    """Certify an assembled 2 x n matrix: parametrize it (a matrix whose
+    rank-one locus is not a rnc raises NotGeneric at `stage`) and verify
+    the datum."""
+    det = DetRnc(rows)
+    try:
+        curve = det_to_param(det)
+    except NotGenericMatrix as exc:
+        raise NotGeneric("assembled matrix is not generic", stage=stage) from exc
+    return ExistenceCertificate.make(method, curve, datum, det)
+
+
+def _all_but_one(factors: Sequence, one) -> list:
+    """prod_{j != i} factors[j] for every i, from prefix and suffix products
+    (no division, so it works for forms as well as scalars)."""
+    prefix = [one]
+    for f in factors:
+        prefix.append(prefix[-1] * f)
+    suffix = [one]
+    for f in reversed(factors):
+        suffix.append(suffix[-1] * f)
+    last = len(factors) - 1
+    return [prefix[i] * suffix[last - i] for i in range(len(factors))]
+
+
 @dataclass(frozen=True)
 class UnsupportedCase:
     """A shape the classification leaves open; no constructor exists."""
 
     reason: str
     analysis: CountAnalysis
-
-
-_UNIQUE_SHAPES = ("n+3,0", "n+2,1", "3,n", "2,n+1", "1,n+2")
 
 
 def _shape_tag(n: int, p: int, l: int) -> str | None:
@@ -259,8 +285,6 @@ def _frame_and_last(points: Sequence[ProjPoint]):
     n = points[0].n
     if len(points) != n + 3:
         raise DimensionMismatch(f"need {n + 3} points in P^{n}, got {len(points)}")
-    if any(p.n != n for p in points):
-        raise DimensionMismatch("points have mixed ambient dimensions")
     t = frame_map(points[: n + 2])
     q = transform(t, points[n + 2]).coords
     for i, qi in enumerate(q):
@@ -293,17 +317,8 @@ def construct_through_points(points: Sequence[ProjPoint]) -> ExistenceCertificat
     forms q_i * prod_{j != i} (q_j s + u)."""
     t, q = _frame_and_last(points)
     n = points[0].n
-    factors = [BinaryForm(1, [1, qi]) for qi in q]
-    prefix = [BinaryForm.constant_one()]
-    for f in factors:
-        prefix.append(prefix[-1] * f)
-    suffix = [BinaryForm.constant_one()]
-    for f in reversed(factors):
-        suffix.append(suffix[-1] * f)
-    forms = [
-        (q[i] * prefix[i]) * suffix[n - i] for i in range(n + 1)
-    ]
-    normalized = ParamRnc(forms)
+    others = _all_but_one([BinaryForm(1, [1, qi]) for qi in q], BinaryForm.constant_one())
+    normalized = ParamRnc([qi * f for qi, f in zip(q, others)])
     curve = transform(t.inverse(), normalized)
     return ExistenceCertificate.make(
         "frame_fit", curve, Datum(n=n, points=tuple(points))
@@ -320,14 +335,7 @@ def cremona_apply(x: ProjPoint) -> ProjPoint:
             stage="cremona_apply",
             witness=x,
         )
-    n1 = len(coords)
-    prefix = [QQ(1)]
-    for c in coords:
-        prefix.append(prefix[-1] * c)
-    suffix = [QQ(1)]
-    for c in reversed(coords):
-        suffix.append(suffix[-1] * c)
-    return ProjPoint([prefix[i] * suffix[n1 - 1 - i] for i in range(n1)])
+    return ProjPoint(_all_but_one(coords, QQ(1)))
 
 
 def cremona_pullback_line(a: ProjPoint, b: ProjPoint) -> ParamRnc:
@@ -340,7 +348,6 @@ def cremona_pullback_line(a: ProjPoint, b: ProjPoint) -> ParamRnc:
         raise DimensionMismatch("line endpoints in different spaces")
     if a == b:
         raise FundamentalLocus("line endpoints coincide", stage="cremona_pullback")
-    n = a.n
     factors = []
     for ai, bi in zip(a.coords, b.coords):
         if not ai and not bi:
@@ -350,13 +357,7 @@ def cremona_pullback_line(a: ProjPoint, b: ProjPoint) -> ParamRnc:
                 witness=(a, b),
             )
         factors.append(BinaryForm(1, [ai, bi]))
-    prefix = [BinaryForm.constant_one()]
-    for f in factors:
-        prefix.append(prefix[-1] * f)
-    suffix = [BinaryForm.constant_one()]
-    for f in reversed(factors):
-        suffix.append(suffix[-1] * f)
-    forms = [prefix[i] * suffix[n - i] for i in range(n + 1)]
+    forms = _all_but_one(factors, BinaryForm.constant_one())
     common = forms[0]
     for f in forms[1:]:
         if common.degree == 0:
@@ -410,8 +411,6 @@ def construct_np2_one_space(
     n = space.n
     if len(points) != n + 2:
         raise DimensionMismatch(f"need {n + 2} points, got {len(points)}")
-    if any(p.n != n for p in points):
-        raise DimensionMismatch("points have mixed ambient dimensions")
     datum = Datum(n=n, spaces=(space,), points=tuple(points))
     for p in points:
         if space.contains_point(p):
@@ -455,14 +454,7 @@ def construct_np2_one_space(
             )
         top.append(LinForm([-c for c in b_coeffs]))
         bottom.append(LinForm(a_coeffs))
-    det = DetRnc([top, bottom])
-    try:
-        curve = det_to_param(det)
-    except NotGenericMatrix as exc:
-        raise NotGeneric(
-            "assembled matrix is not generic", stage="np2:conversion"
-        ) from exc
-    return ExistenceCertificate.make("np2_one_space", curve, datum, det)
+    return _certify("np2_one_space", "np2:conversion", [top, bottom], datum)
 
 
 # -- (3, n) -------------------------------------------------------------------
@@ -477,8 +469,6 @@ def construct_three_points(
     n = spaces[0].n if spaces else 0
     if len(points) != 3 or len(spaces) != n:
         raise DimensionMismatch("need exactly 3 points and n spaces")
-    if any(p.n != n for p in points) or any(s.n != n for s in spaces):
-        raise DimensionMismatch("mixed ambient dimensions")
     p1, p2, p3 = points
     datum = Datum(n=n, spaces=tuple(spaces), points=tuple(points))
     top: list[LinForm] = []
@@ -497,14 +487,7 @@ def construct_three_points(
         # scale the whole column by c_den: rows still agree at p3
         top.append(LinForm([c_den * c for c in h1.coeffs]))
         bottom.append(LinForm([c_num * c for c in h2.coeffs]))
-    det = DetRnc([top, bottom])
-    try:
-        curve = det_to_param(det)
-    except NotGenericMatrix as exc:
-        raise NotGeneric(
-            "assembled matrix is not generic", stage="three_points:conversion"
-        ) from exc
-    return ExistenceCertificate.make("three_points", curve, datum, det)
+    return _certify("three_points", "three_points:conversion", [top, bottom], datum)
 
 
 # -- (2, n+1) -----------------------------------------------------------------
@@ -531,8 +514,6 @@ def construct_two_points(
     n = spaces[0].n if spaces else 0
     if len(points) != 2 or len(spaces) != n + 1:
         raise DimensionMismatch("need exactly 2 points and n+1 spaces")
-    if any(p.n != n for p in points) or any(s.n != n for s in spaces):
-        raise DimensionMismatch("mixed ambient dimensions")
     p1, p2 = points
     datum = Datum(n=n, spaces=tuple(spaces), points=tuple(points))
     anchored, extra = spaces[:n], spaces[n]
@@ -575,14 +556,7 @@ def construct_two_points(
             "recovered combinations do not span the last space",
             stage="two_points:span",
         )
-    det = DetRnc([top, bottom])
-    try:
-        curve = det_to_param(det)
-    except NotGenericMatrix as exc:
-        raise NotGeneric(
-            "assembled matrix is not generic", stage="two_points:conversion"
-        ) from exc
-    return ExistenceCertificate.make("two_points", curve, datum, det)
+    return _certify("two_points", "two_points:conversion", [top, bottom], datum)
 
 
 # -- (1, n+2) -----------------------------------------------------------------
@@ -602,8 +576,6 @@ def construct_one_point(
     n = spaces[0].n if spaces else 0
     if len(spaces) != n + 2:
         raise DimensionMismatch("need exactly n+2 spaces")
-    if point.n != n or any(s.n != n for s in spaces):
-        raise DimensionMismatch("mixed ambient dimensions")
     datum = Datum(n=n, spaces=tuple(spaces), points=(point,))
     anchored, extras = spaces[:n], spaces[n:]
     tops = []
@@ -653,14 +625,7 @@ def construct_one_point(
                 "bottom-row entry vanishes", stage="one_point:bottom_entry", witness=i
             )
         bottom.append(LinForm(coeffs))
-    det = DetRnc([tops, bottom])
-    try:
-        curve = det_to_param(det)
-    except NotGenericMatrix as exc:
-        raise NotGeneric(
-            "assembled matrix is not generic", stage="one_point:conversion"
-        ) from exc
-    return ExistenceCertificate.make("one_point", curve, datum, det)
+    return _certify("one_point", "one_point:conversion", [tops, bottom], datum)
 
 
 # -- dispatcher ----------------------------------------------------------------

@@ -17,10 +17,13 @@ locus is the curve.  Conversions go both ways:
 
 Restriction of a linear form and evaluation at a point run on integers:
 the curve keeps its primitive integer coefficients, and the transported
-Hankel matrix has primitive integer columns.
+Hankel matrix has primitive integer columns.  The invertibility check of
+a `ParamRnc` is a fraction-free rank of those coefficients.
 
-Equality of a parametrization and a matrix is decided by restricting the
-matrix to the curve (`_matrix_defines`), with no elimination.
+Equality has one algorithm: restricting a matrix to a parametrized curve
+(`_matrix_defines`), with no elimination.  A parametrization meets the
+other's transported Hankel matrix, and of two matrices the first is
+parametrized by `det_to_param`.
 
 Intersections with codimension-two spaces are never split into points: the
 scheme is carried as the monic gcd of the two restricted pencil generators,
@@ -30,7 +33,6 @@ which keeps all data rational even when the intersection points are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Sequence
 
 from .binforms import BinaryForm, binary_gcd, divide_exact, is_squarefree
@@ -43,7 +45,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     canonical_rowspace,
-    joint_integerize,
+    ff_rank,
     nullspace,
     signed_maximal_minors,
 )
@@ -55,8 +57,7 @@ from .projective import (
     pencil_from_points,
     register_transform,
 )
-from .quadrics import monomial_index, monomials
-from .scalars import QQ, integerize
+from .scalars import QQ, clear_denominators, integerize
 
 
 def parameter(s, u) -> ProjPoint:
@@ -91,16 +92,12 @@ class ParamRnc:
         )
         self.forms = tuple(BinaryForm(n, row) for row in self.ints)
         self.n = n
-        coeff_matrix = Matrix([f.coeffs for f in self.forms])
-        if coeff_matrix.det() == 0:
+        if ff_rank(self.ints) != n + 1:
             raise NotGenericMatrix(
                 "coefficient matrix is singular: not a linearly normal degree-n map",
                 stage="param_rnc",
             )
         self._det = None
-
-    def coefficient_matrix(self) -> Matrix:
-        return Matrix([f.coeffs for f in self.forms])
 
     def __eq__(self, other):
         return isinstance(other, ParamRnc) and self.forms == other.forms
@@ -211,7 +208,7 @@ def param_to_det(curve: ParamRnc) -> DetRnc:
     if curve._det is not None:
         return curve._det
     n = curve.n
-    back = curve.coefficient_matrix().inverse()
+    back = Matrix(curve.ints).inverse()
     top, bottom = [], []
     for j in range(n):
         stacked = list(back.entries[j]) + list(back.entries[j + 1])
@@ -234,11 +231,8 @@ def _interpolation(n: int) -> tuple[int, tuple]:
     cached = _INTERPOLATION.get(n)
     if cached is None:
         v = Matrix([[QQ(t) ** k for k in range(n + 1)] for t in range(n + 1)])
-        inv = v.inverse().entries
-        scale = lcm(*(x.denominator for row in inv for x in row))
-        rows = tuple(
-            tuple(x.numerator * (scale // x.denominator) for x in row) for row in inv
-        )
+        flat, scale = clear_denominators(x for row in v.inverse().entries for x in row)
+        rows = tuple(tuple(flat[i * (n + 1): (i + 1) * (n + 1)]) for i in range(n + 1))
         cached = (scale, rows)
         _INTERPOLATION[n] = cached
     return cached
@@ -259,12 +253,10 @@ def det_to_param(det: DetRnc) -> ParamRnc:
     n = det.n
     top, bottom = det.m
     # one joint integer scale per column keeps all minors consistently scaled
-    columns = [
-        joint_integerize([top[j].coeffs, bottom[j].coeffs]) for j in range(n)
-    ]
+    columns = [integerize(top[j].coeffs + bottom[j].coeffs) for j in range(n)]
     values = [  # values[r][k]: minor k at the node r
         signed_maximal_minors(
-            [[r * a - b for a, b in zip(*columns[j])] for j in range(n)]
+            [[r * a - b for a, b in zip(col[: n + 1], col[n + 1:])] for col in columns]
         )
         for r in range(n + 1)
     ]
@@ -338,12 +330,10 @@ def restrict(curve: ParamRnc, form: LinForm) -> BinaryForm:
     if form.n != curve.n:
         raise DimensionMismatch("form and curve dimensions differ")
     n = curve.n
-    # scale the form to integers by the lcm of its denominators
-    scale = lcm(*(a.denominator for a in form.coeffs))
+    coeffs, scale = clear_denominators(form.coeffs)
     out = [0] * (n + 1)
-    for a, row in zip(form.coeffs, curve.ints):
+    for a, row in zip(coeffs, curve.ints):
         if a:
-            a = a.numerator * (scale // a.denominator)
             for k, c in enumerate(row):
                 if c:
                     out[k] += a * c
@@ -429,65 +419,6 @@ def chord_space(curve: ParamRnc, params: Sequence) -> Pencil:
     return pencil_from_points(pts)
 
 
-def quadric_space(curve) -> tuple:
-    """Canonical basis (RREF rows) of the quadrics vanishing on the curve.
-
-    Parametrized curves impose 2n+1 coefficient conditions on the monomial
-    vector; determinantal curves contribute their 2 x 2 minors, which span
-    the same C(n, 2)-dimensional space.  Comparing the canonical bases
-    decides equality of curves, since a rnc is cut out by its quadrics.
-    `curve_equals` uses this only for two determinantal curves; it is the
-    elimination-based reference for the restriction check.
-    """
-    if isinstance(curve, ParamRnc):
-        n = curve.n
-        monos = monomials(n, 2)
-        int_forms = curve.ints
-        products = []
-        for e in monos:
-            i = next(k for k, v in enumerate(e) if v)
-            j = i if e[i] == 2 else next(k for k in range(i + 1, n + 1) if e[k])
-            a, b = int_forms[i], int_forms[j]
-            conv = [0] * (2 * n + 1)
-            for ka, ca in enumerate(a):
-                if ca:
-                    for kb, cb in enumerate(b):
-                        if cb:
-                            conv[ka + kb] += ca * cb
-            products.append(conv)
-        rows = [[prod[a] for prod in products] for a in range(2 * n + 1)]
-        return canonical_rowspace(nullspace(rows))
-    if isinstance(curve, DetRnc):
-        n = curve.n
-        idx = monomial_index(monomials(n, 2))
-        top, bottom = curve.m
-        columns = [
-            joint_integerize([top[j].coeffs, bottom[j].coeffs]) for j in range(n)
-        ]
-        vectors = []
-        for j in range(n):
-            for k in range(j + 1, n):
-                minor = [0] * len(idx)
-                for (fa, fb) in ((0, 1), (1, 0)):
-                    sign = 1 if fa == 0 else -1
-                    left, right = columns[j][fa], columns[k][fb]
-                    for i1 in range(n + 1):
-                        ci = left[i1]
-                        if not ci:
-                            continue
-                        for i2 in range(n + 1):
-                            cj = right[i2]
-                            if cj:
-                                key = tuple(
-                                    (1 if t == i1 else 0) + (1 if t == i2 else 0)
-                                    for t in range(n + 1)
-                                )
-                                minor[idx[key]] += sign * ci * cj
-                vectors.append(minor)
-        return canonical_rowspace(vectors)
-    raise TypeError(f"not a curve: {type(curve).__name__}")
-
-
 def _matrix_defines(curve: ParamRnc, det: DetRnc) -> bool:
     """True iff the rank-one locus of `det` is the image of `curve`.
 
@@ -525,7 +456,7 @@ def _matrix_defines(curve: ParamRnc, det: DetRnc) -> bool:
     if any(tj * psi != bj * phi for tj, bj in zip(t, b)):
         return False
     # phi and psi are coprime, so phi divides every t_j
-    return Matrix([divide_exact(tj, phi).coeffs for tj in t]).det() != 0
+    return ff_rank([divide_exact(tj, phi).coeffs for tj in t]) == det.n
 
 
 def curve_equals(a, b) -> bool:
@@ -534,7 +465,9 @@ def curve_equals(a, b) -> bool:
     A parametrization against a matrix is decided by restricting the matrix
     to the curve (`_matrix_defines`), with no elimination.  Two
     parametrizations compare one against the other's transported Hankel
-    matrix; two matrices compare their canonical quadric spaces.
+    matrix; of two matrices the first is parametrized by `det_to_param`.
+    A matrix whose rank-one locus is not a rnc equals no rnc; when neither
+    matrix is one, NotGenericMatrix is raised.
     """
     n_a = a.n if isinstance(a, (ParamRnc, DetRnc)) else None
     n_b = b.n if isinstance(b, (ParamRnc, DetRnc)) else None
@@ -544,8 +477,13 @@ def curve_equals(a, b) -> bool:
         raise DimensionMismatch("curves live in different spaces")
     if isinstance(a, DetRnc):
         if isinstance(b, DetRnc):
-            return quadric_space(a) == quadric_space(b)
-        a, b = b, a
+            try:
+                a = det_to_param(a)
+            except NotGenericMatrix:
+                det_to_param(b)  # raises too when neither matrix is a rnc
+                return False
+        else:
+            a, b = b, a
     if isinstance(b, ParamRnc):
         b = param_to_det(b)
     return _matrix_defines(a, b)

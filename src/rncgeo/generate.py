@@ -16,6 +16,9 @@ from .projective import LinForm, Pencil, ProjPoint, ProjTransform
 
 DEFAULT_RANGE = 5
 
+# the most points plus spaces `random_datum` samples in one datum
+MAX_DATUM_OBJECTS = 1000
+
 
 def rng_from_seed(seed) -> random.Random:
     """Deterministic RNG; tuples are flattened to a stable string seed
@@ -106,11 +109,16 @@ def random_datum(n: int, p: int, l: int, rng: random.Random, forward: bool = Fal
     Non-forward data are independent uniform points and pencils (the right
     input for the non-existence regime), drawn until p distinct points and
     l distinct pencils are found or `draw_budget(p, l)` candidates are
-    spent (NotGeneric).  n < 1 or a negative count raises BadDimension."""
+    spent (NotGeneric).  n < 1, a negative count or p + l above
+    MAX_DATUM_OBJECTS raises BadDimension before anything is drawn."""
     from .construct import Datum
 
     if n < 1 or p < 0 or l < 0:
         raise BadDimension(f"random data need n >= 1 and p, l >= 0; got ({n}, {p}, {l})")
+    if p + l > MAX_DATUM_OBJECTS:
+        raise BadDimension(
+            f"random data hold at most {MAX_DATUM_OBJECTS} points and spaces; got {p + l}"
+        )
     if forward:
         return forward_datum(n, p, l, rng)
     budget = draw_budget(p, l)

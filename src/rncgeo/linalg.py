@@ -1,10 +1,12 @@
 """Exact dense linear algebra over Q.
 
-Ranks use fraction-free (Bareiss) elimination on denominator-cleared rows:
-every intermediate entry is a minor of the integer matrix, so there is no
-coefficient explosion beyond what the minors themselves require and no
-division error anywhere.  Kernels and solves use integer cross-elimination
-with content reduction, rationalizing only in the final normalization pass.
+Rows are cleared of denominators by `scalars.integerize` (or, where the
+scale matters, `scalars.clear_denominators`).  Ranks and determinants use
+one fraction-free (Bareiss) forward pass: every intermediate entry is a
+minor of the integer matrix, so there is no coefficient explosion beyond
+what the minors themselves require and no division error anywhere.
+Kernels and solves use integer cross-elimination with content reduction,
+rationalizing only in the final normalization pass.
 All n + 1 signed maximal minors of an n x (n+1) integer matrix come from
 one Bareiss forward pass and one exact back substitution.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .scalars import QQ
+from .scalars import QQ, clear_denominators, integerize
 
 Vector = list  # list[QQ]
 
@@ -39,12 +41,6 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix([[QQ(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def row(self, i: int):
-        return list(self.entries[i])
-
-    def column(self, j: int):
-        return [row[j] for row in self.entries]
 
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.entries))) if self.entries else Matrix([])
@@ -76,8 +72,16 @@ class Matrix:
     def det(self) -> QQ:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        rows, scale = _int_rows_scaled(self.entries)
-        return QQ(_bareiss_det(rows), 1) / scale
+        n = self.rows
+        rows, scale = [], 1
+        for row in self.entries:
+            ints, d = clear_denominators(row)
+            rows.append(ints)
+            scale *= d
+        pivots, sign = _bareiss_forward(rows, n)
+        if len(pivots) < n:
+            return QQ(0)
+        return QQ(sign * rows[n - 1][n - 1], scale) if n else QQ(1)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -91,9 +95,6 @@ class Matrix:
             raise ValueError("singular matrix")
         return Matrix([row[n:] for row in rref_rows])
 
-    def rank(self) -> int:
-        return ff_rank(self)
-
 
 def _dot(a, b):
     total = QQ(0)
@@ -106,68 +107,9 @@ def _dot(a, b):
 # -- integer kernels ---------------------------------------------------------
 
 
-def _rows_of(m) -> list[list]:
-    if isinstance(m, Matrix):
-        return [list(r) for r in m.entries]
-    return [list(r) for r in m]
-
-
-def _int_row(row) -> list[int]:
-    if all(type(v) is int for v in row):
-        ints = list(row)
-    else:
-        lcm = 1
-        for v in row:
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        ints = [v.numerator * (lcm // v.denominator) for v in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
-
-
-def _int_rows(rows) -> list[list[int]]:
-    return [_int_row(r) for r in rows]
-
-
-def joint_integerize(vectors) -> list[list[int]]:
-    """Scale several vectors by one common positive rational so all entries
-    become integers with joint content 1 (ratios between vectors are kept)."""
-    flat = [v for vec in vectors for v in vec]
-    lcm = 1
-    for v in flat:
-        d = v.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [v.numerator * (lcm // v.denominator) for v in flat]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    out = []
-    pos = 0
-    for vec in vectors:
-        out.append(ints[pos: pos + len(vec)])
-        pos += len(vec)
-    return out
-
-
-def _int_rows_scaled(rows):
-    """Clear denominators row by row, returning the integer rows and the
-    combined scale so that det(int rows) = scale * det(original)."""
-    out = []
-    scale = QQ(1)
-    for row in rows:
-        lcm = 1
-        for v in row:
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        out.append([v.numerator * (lcm // v.denominator) for v in row])
-        scale *= lcm
-    return out, scale
+def _int_rows(m) -> list[list[int]]:
+    """Primitive integer rows, as new lists, of a `Matrix` or of rows."""
+    return [integerize(r) for r in getattr(m, "entries", m)]
 
 
 def _content_reduce(row: list[int]) -> None:
@@ -219,31 +161,6 @@ def _bareiss_forward(rows: list[list[int]], ncols: int):
         pivots.append(c)
         rank += 1
     return pivots, sign
-
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        prow = rows[c]
-        pv = prow[c]
-        for i in range(c + 1, n):
-            row = rows[i]
-            x = row[c]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * pv - x * prow[j]) // prev
-            row[c] = 0
-        prev = pv
-    return sign * rows[n - 1][n - 1]
 
 
 def signed_maximal_minors(rows: list[list[int]]) -> list[int]:
@@ -334,7 +251,7 @@ def _rref(rows: list[list[int]], ncols: int):
 
 def ff_rank(m) -> int:
     """Rank over Q by fraction-free elimination (exact, no tolerances)."""
-    rows = _int_rows(_rows_of(m))
+    rows = _int_rows(m)
     if not rows or not rows[0]:
         return 0
     return len(_bareiss_forward(rows, len(rows[0]))[0])
@@ -346,11 +263,11 @@ def nullspace(m) -> list[Vector]:
     The basis is canonical: vector k-th has 1 at the k-th free column and 0
     at the other free columns.
     """
-    raw = _rows_of(m)
-    if not raw:
+    rows = _int_rows(m)
+    if not rows:
         return []
-    ncols = len(raw[0])
-    rref_rows, pivots = _rref(_int_rows(raw), ncols)
+    ncols = len(rows[0])
+    rref_rows, pivots = _rref(rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -368,14 +285,14 @@ def linsolve(m, b) -> Vector | None:
 
     Free variables are set to zero, making the answer deterministic.
     """
-    raw = _rows_of(m)
+    raw = list(getattr(m, "entries", m))
     bvec = [QQ(x) for x in b]
     if len(raw) != len(bvec):
         raise ValueError("shape mismatch")
     if not raw:
         return []
     ncols = len(raw[0])
-    aug = _int_rows([row + [rhs] for row, rhs in zip(raw, bvec)])
+    aug = _int_rows([*row, rhs] for row, rhs in zip(raw, bvec))
     rref_rows, pivots = _rref(aug, ncols + 1)
     if ncols in pivots:
         return None
@@ -388,9 +305,8 @@ def linsolve(m, b) -> Vector | None:
 def canonical_rowspace(rows) -> tuple:
     """Unique RREF representation of the row space, for exact subspace
     equality tests.  Returns a tuple of tuples of scalars."""
-    raw = _rows_of(rows)
-    if not raw:
+    ints = _int_rows(rows)
+    if not ints:
         return ()
-    ncols = len(raw[0])
-    rref_rows, _ = _rref(_int_rows(raw), ncols)
+    rref_rows, _ = _rref(ints, len(ints[0]))
     return tuple(tuple(r) for r in rref_rows)

@@ -20,12 +20,12 @@ from .construct import (
     construct_through_points,
 )
 from .curves import ParamRnc
-from .errors import BadShape, DimensionMismatch
+from .errors import BadDimension, BadShape, DimensionMismatch
 from .generate import random_pencil, random_point, rng_from_seed
 from .linalg import ff_rank
 from .obstruct import DegreeLedger
 from .projective import Pencil, ProjPoint, ProjTransform, register_transform, transform
-from .quadrics import double_space_rows, monomials, point_derivative_rows
+from .quadrics import double_space_rows, monomial_count, monomials, point_derivative_rows
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,11 @@ def _transform_scheme(t: ProjTransform, spec: SchemeSpec) -> SchemeSpec:
         double_points=tuple(transform(t, p) for p in spec.double_points),
         double_spaces=tuple(transform(t, s) for s in spec.double_spaces),
     )
+
+
+# the most degree-d monomials on P^n, C(n+d, d), that `hilbert_function`
+# builds condition rows for (the quartic shape at n = 7 has 330)
+MAX_MONOMIALS = 2000
 
 
 def point_condition_count(n: int) -> int:
@@ -103,9 +108,26 @@ def expected_quartic_conditions(n: int) -> int:
     return (n + 2) * (n + 1) + comb(n + 2, 4) + 2 * comb(n + 1, 3)
 
 
+def _check_size(n: int, d: int) -> None:
+    """BadDimension unless n >= 2 and C(n+d, d) <= MAX_MONOMIALS.
+
+    C(n+d, k) grows with k up to k = min(n, d), so the running product
+    passes the cap after a few steps however large n and d are."""
+    if n < 2:
+        raise BadDimension(f"Hilbert functions need n >= 2, got {n}")
+    count = 1
+    for k in range(1, min(n, d) + 1):
+        count = count * (n + d + 1 - k) // k  # C(n+d, k)
+        if count > MAX_MONOMIALS:
+            raise BadDimension(
+                f"degree {d} forms on P^{n} have more than {MAX_MONOMIALS} monomials"
+            )
+
+
 def hilbert_function(spec: SchemeSpec) -> PostulationReport:
     n, d = spec.n, spec.degree
-    total = comb(n + d, d)
+    _check_size(n, d)
+    total = monomial_count(n, d)
     p_count = len(spec.double_points) * point_condition_count(n)
     s_count = len(spec.double_spaces) * space_condition_count(n, d)
     conditions_sum = p_count + s_count

@@ -162,12 +162,6 @@ class ProjTransform:
         t._inv = self.matrix
         return t
 
-    def compose(self, other: "ProjTransform") -> "ProjTransform":
-        """self after other."""
-        if self.n != other.n:
-            raise DimensionMismatch("composing transforms of different spaces")
-        return ProjTransform(self.matrix * other.matrix)
-
     def __eq__(self, other):
         # projective equality: matrices proportional
         if not isinstance(other, ProjTransform) or self.n != other.n:

@@ -9,25 +9,11 @@ conversion and formatting helpers the rest of the package shares.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ParseError
 
 QQ = Fraction
-
-ZERO = QQ(0)
-ONE = QQ(1)
-
-
-def qq(value) -> QQ:
-    """Coerce an int, string ("7", "-3/4") or Fraction to an exact scalar."""
-    if isinstance(value, QQ):
-        return value
-    if isinstance(value, int):
-        return QQ(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
 
 
 def parse_rational(text: str, *, location: str = "") -> QQ:
@@ -52,30 +38,21 @@ def format_rational(value: QQ):
     return f"{value.numerator}/{value.denominator}"
 
 
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(D * values, D) for D the lcm of the denominators, as a new list of
+    ints that callers may eliminate on in place."""
+    ints = list(values)
+    if all(type(v) is int for v in ints):
+        return ints, 1
+    scale = lcm(*(v.denominator for v in ints))
+    return [v.numerator * (scale // v.denominator) for v in ints], scale
+
+
 def integerize(values) -> list[int]:
     """Scale a rational vector by a positive rational so it becomes a
-    primitive integer vector (content 1).  The zero vector maps to zeros."""
-    values = list(values)
-    lcm = 1
-    for v in values:
-        d = v.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [v.numerator * (lcm // v.denominator) for v in values]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    primitive integer vector (content 1), as a new list.  The zero vector
+    maps to zeros."""
+    ints, _ = clear_denominators(values)
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
-
-def primitive_vector(values) -> list[QQ]:
-    """Like `integerize` but additionally fixes the sign so the first
-    nonzero entry is positive; returned as scalars."""
-    ints = integerize(values)
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return [QQ(x) for x in ints]

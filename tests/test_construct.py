@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -29,8 +30,10 @@ from rncgeo.curves import (
 from rncgeo.errors import (
     BadDimension,
     BadShape,
+    DimensionMismatch,
     FundamentalLocus,
     NotGeneric,
+    NotGenericMatrix,
 )
 from rncgeo.generate import forward_datum, random_transform, rng_from_seed
 from rncgeo.obstruct import ObstructionCertificate
@@ -422,3 +425,46 @@ def test_certificate_roundtrip_verification():
     cert = construct(datum)
     assert verify_datum(cert.curve, cert.datum).passed
     assert curve_equals(cert.curve, cert.det)
+
+
+def test_conversion_stage_strings(monkeypatch):
+    # `import rncgeo.construct` yields the re-exported function
+    module = sys.modules["rncgeo.construct"]
+
+    def degenerate(det):
+        raise NotGenericMatrix("patched", stage="det_to_param")
+
+    monkeypatch.setattr(module, "det_to_param", degenerate)
+    cases = {
+        "np2:conversion": ((6, 1), lambda d: construct_np2_one_space(d.points, d.spaces[0])),
+        "three_points:conversion": ((3, 4), lambda d: construct_three_points(d.points, d.spaces)),
+        "two_points:conversion": ((2, 5), lambda d: construct_two_points(d.points, d.spaces)),
+        "one_point:conversion": ((1, 6), lambda d: construct_one_point(d.points[0], d.spaces)),
+    }
+    for stage, ((p, l), build) in cases.items():
+        datum, _ = forward_datum(4, p, l, rng_from_seed(("stage", stage)))
+        with pytest.raises(NotGeneric) as info:
+            build(datum)
+        assert info.value.stage == stage
+        assert isinstance(info.value.__cause__, NotGenericMatrix)
+
+
+def test_constructors_reject_mixed_dimensions():
+    # frame_map, transform and the Datum each constructor builds check
+    # every ambient dimension
+    stray = ProjPoint([1, 2, 3, 4])  # in P^3, the data in P^4
+    cases = {
+        (7, 0): lambda pts, sp: construct_through_points(pts),
+        (7, 0, "cremona"): lambda pts, sp: construct_through_points_cremona(pts),
+        (6, 1): lambda pts, sp: construct_np2_one_space(pts, sp[0]),
+        (3, 4): construct_three_points,
+        (2, 5): construct_two_points,
+        (1, 6): lambda pts, sp: construct_one_point(pts[0], sp),
+    }
+    for (p, l, *_), build in cases.items():
+        datum, _ = forward_datum(4, p, l, rng_from_seed(("mixed", p, l)))
+        for k in (0, -1):
+            points = list(datum.points)
+            points[k] = stray
+            with pytest.raises(DimensionMismatch):
+                build(points, datum.spaces)

@@ -13,12 +13,14 @@ import rncgeo.curves as curves_module
 from rncgeo.curves import (
     DetRnc,
     curve_equals,
+    det_to_param,
     param_to_det,
-    quadric_space,
     reparametrize,
 )
+from rncgeo.errors import NotGenericMatrix
 from rncgeo.generate import random_invertible_matrix, random_rnc
 from rncgeo.projective import LinForm, ProjTransform, apply_transform
+from reference import quadric_space
 
 SEEDS = range(3)
 
@@ -127,6 +129,35 @@ def test_det_det_uses_quadric_spaces():
     det = param_to_det(curve)
     assert curve_equals(det, row_op(det, 1, 1, 0, 1))
     assert not curve_equals(det, duplicate_column(det))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_det_det_agrees_with_quadric_spaces(n):
+    for seed in SEEDS:
+        rng = random.Random(f"det-det-{n}-{seed}")
+        curve = random_rnc(n, rng)
+        det = param_to_det(curve)
+        a, b, c, d = invertible_2x2(rng)
+        same = column_op(row_op(det, a, b, c, d), random_invertible_matrix(n, rng, 3))
+        pairs = [
+            (same, True),
+            (param_to_det(random_rnc(n, rng)), False),
+            (duplicate_column(same), False),  # only one of the two is a rnc
+        ]
+        for other, expected in pairs:
+            assert reference(det, other) == expected, (n, seed)
+            assert curve_equals(det, other) == expected, (n, seed)
+            assert curve_equals(other, det) == expected, (n, seed)
+        # neither matrix defines a rnc: no answer, although their quadric
+        # spaces agree
+        left = duplicate_column(det)
+        right = row_op(left, a, b, c, d)
+        assert reference(left, right)
+        for pair in ((left, right), (right, left)):
+            with pytest.raises(NotGenericMatrix):
+                det_to_param(pair[1])
+            with pytest.raises(NotGenericMatrix):
+                curve_equals(*pair)
 
 
 def test_param_det_does_not_eliminate(monkeypatch):

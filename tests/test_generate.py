@@ -63,12 +63,21 @@ def test_random_datum_gives_up_when_the_box_runs_out(capsys):
 @pytest.mark.parametrize(
     "argv",
     [("3", "-2", "0"), ("3", "2", "-1"), ("0", "2", "0"), ("-1", "0", "0"),
-     ("1", "0", "1", "--forward"), ("2", "1", "1", "--forward")],
+     ("1", "0", "1", "--forward"), ("2", "1", "1", "--forward"),
+     # above MAX_DATUM_OBJECTS points plus spaces: refused before any draw
+     ("3", "1001", "0"), ("3", "600", "401"), ("3", "99999", "0"),
+     ("3", "0", "1001", "--forward")],
 )
 def test_random_datum_rejects_bad_sizes(capsys, argv):
     code, doc = run_random_datum(capsys, *argv)
     assert code == 13
     assert doc["kind"] == "error"
+
+
+def test_random_datum_at_the_cap(capsys):
+    code, doc = run_random_datum(capsys, "3", "1000", "0")
+    assert code == 0
+    assert len(doc["datum"]["points"]) == 1000
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from rncgeo.linalg import (
     nullspace,
     signed_maximal_minors,
 )
+from rncgeo.scalars import integerize
 
 
 def test_rank_identity():
@@ -179,3 +180,53 @@ def test_signed_maximal_minors_span_the_kernel():
     minors = signed_maximal_minors([row[:] for row in rows])
     assert any(minors)
     assert all(sum(a * x for a, x in zip(row, minors)) == 0 for row in rows)
+
+
+def rational_matrices(size, rng):
+    """Seeded size x size rational matrices with mixed denominators: a
+    generic one, one with a repeated row and one with a zero row."""
+    def entry():
+        return QQ(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+
+    generic = [[entry() for _ in range(size)] for _ in range(size)]
+    out = [generic]
+    if size >= 2:
+        repeated = [row[:] for row in generic]
+        repeated[-1] = [QQ(3, 2) * x for x in repeated[0]]
+        zero = [row[:] for row in generic]
+        zero[0] = [QQ(0)] * size
+        out += [repeated, zero]
+    return out
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_det_matches_sympy_on_rational_matrices(size):
+    rng = random.Random(f"det-{size}")
+    for _ in range(4):
+        for rows in rational_matrices(size, rng):
+            expected = sympy.Matrix(
+                [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+            ).det()
+            got = Matrix(rows).det()
+            assert isinstance(got, QQ)
+            assert got == QQ(int(expected.p), int(expected.q)), rows
+
+
+def test_det_of_empty_and_singular_matrices():
+    assert Matrix([]).det() == 1
+    assert Matrix([[QQ(-5, 3)]]).det() == QQ(-5, 3)
+    assert Matrix([[QQ(1, 2), QQ(1, 3)], [QQ(3, 2), 1]]).det() == 0
+    assert Matrix([[0, 0], [0, 0]]).det() == 0
+
+
+def test_integerize_fast_path_matches_fraction_path():
+    rng = random.Random("integerize")
+    vectors = [[], [0, 0, 0], [6, -4, 10], [-3], [0, 7, 0, -14]]
+    vectors += [[rng.randint(-50, 50) for _ in range(rng.randint(1, 8))] for _ in range(40)]
+    for ints in vectors:
+        fractions = [QQ(x) for x in ints]
+        out = integerize(ints)
+        assert out == integerize(fractions), ints
+        assert all(type(x) is int for x in out)
+        assert out is not ints  # callers eliminate on the result in place
+    assert integerize([QQ(1, 2), QQ(-1, 3), 2]) == [3, -2, 12]

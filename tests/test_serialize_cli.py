@@ -240,6 +240,63 @@ def test_cli_hilbert(tmp_path, capsys):
     assert doc["explanation"]["ledger"]["intersection_lower_bound"] == 13
 
 
+def write_spec(tmp_path, n, degree):
+    path = tmp_path / f"spec-{n}-{degree}.json"
+    doc = {"version": 1, "kind": "scheme_spec", "n": n, "degree": degree}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "n, degree",
+    # C(14, 5) = 2002 monomials, just above the cap; n and d huge together;
+    # P^1 and below, where the space condition count is undefined
+    [(9, 5), (10, 4000), (10**9, 10**9), (1, 2), (0, 3), (-10, 2)],
+)
+def test_cli_hilbert_rejects_oversized_specs(tmp_path, capsys, n, degree):
+    code, out = run_cli(capsys, "hilbert", str(write_spec(tmp_path, n, degree)))
+    assert code == 13
+    assert json.loads(out)["error_class"] == "bad_dimension"
+
+
+def test_cli_hilbert_below_the_cap(tmp_path, capsys):
+    code, out = run_cli(capsys, "hilbert", str(write_spec(tmp_path, 4, 12)))
+    assert code == 0
+    assert json.loads(out)["total_monomials"] == 1820
+
+
+def construct_doc(tmp_path, capsys, datum):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum_out(datum)))
+    code, out = run_cli(capsys, "construct", str(path))
+    assert code == 0
+    return json.loads(out)
+
+
+def verify_doc(tmp_path, capsys, doc):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "verify", str(path))
+    assert json.loads(out)["passed"] is (code == 0)
+    return code
+
+
+def test_cli_verify_checks_the_embedded_report_and_method(tmp_path, capsys):
+    for n, p, l in ((3, 6, 0), (3, 5, 1), (3, 3, 3), (3, 2, 4), (3, 1, 5)):
+        datum, _ = forward_datum(n, p, l, rng_from_seed(("verify-report", p, l)))
+        doc = construct_doc(tmp_path, capsys, datum)
+        assert verify_doc(tmp_path, capsys, doc) == 0, (p, l)
+    failed = json.loads(json.dumps(doc))
+    failed["report"]["passed"] = False
+    moved = json.loads(json.dumps(doc))
+    param = moved["report"]["points"][0]["param"]
+    moved["report"]["points"][0]["param"] = [1, 0] if param != [1, 0] else [0, 1]
+    made_up = json.loads(json.dumps(doc))
+    made_up["method"] = "made_up"
+    for name, tampered in (("passed", failed), ("param", moved), ("method", made_up)):
+        assert verify_doc(tmp_path, capsys, tampered) == 10, name
+
+
 def test_cli_ah_suite(capsys):
     code, out = run_cli(capsys, "ah-suite", "--seed", "0")
     assert code == 0
