@@ -32,7 +32,6 @@ from .errors import (
     BadShape,
     DimensionMismatch,
     GeometryError,
-    NotGeneric,
     ParseError,
     UnsupportedCaseError,
 )
@@ -68,12 +67,16 @@ EXIT_PARSE = 13
 
 def _read_document(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}", location=path) from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ParseError(f"invalid JSON: {exc}", location=path) from exc
 
 
@@ -334,8 +337,6 @@ def _exit_code_for(exc: GeometryError) -> int:
         return EXIT_PARSE
     if isinstance(exc, (BadShape, UnsupportedCaseError)):
         return EXIT_UNSUPPORTED
-    if isinstance(exc, NotGeneric):
-        return EXIT_NOT_GENERIC
     return EXIT_NOT_GENERIC
 
 

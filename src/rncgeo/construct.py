@@ -34,7 +34,6 @@ from .curves import (
     DetRnc,
     ParamRnc,
     VerificationReport,
-    curve_equals,
     det_to_param,
     param_to_det,
     point_at_param,
@@ -49,7 +48,8 @@ from .errors import (
     NotGenericMatrix,
 )
 from .generate import distinct_parameters, retrying, rng_from_seed
-from .linalg import canonical_rowspace, ff_rank, linsolve, nullspace
+from .linalg import canonical_rowspace, ff_rank, nullspace
+from .obstruct import nonexistence_certificate
 from .projective import (
     LinForm,
     Pencil,
@@ -153,20 +153,30 @@ class ExistenceCertificate:
     report: VerificationReport
 
     @staticmethod
-    def make(method: str, curve: ParamRnc, datum: Datum, det: DetRnc | None = None):
+    def make(method: str, datum: Datum, source: ParamRnc | DetRnc):
+        """Verify the datum on one representation and derive the other.
+
+        A matrix source is parametrized by `det_to_param` (a cached lookup
+        after `_certify`), and the two need no equality check.  The curve x
+        is the vector of signed maximal minors of N(s, u), whose rows are
+        s T_j - u B_j, so s T_j(x) = u B_j(x) and each restricted column is
+        (u h_j, s h_j).  The first nonzero column divided by its gcd is
+        (u, s) up to a constant.  If the h_j were dependent, a nonzero
+        column combination would restrict to 0 on the linearly normal x,
+        so it would be the zero column; then the rows of N would be
+        dependent and every minor 0, which `det_to_param` rejects.  So
+        `curves._matrix_defines(x, det)` always holds.
+        """
+        if isinstance(source, DetRnc):
+            det, curve = source, det_to_param(source)
+        else:
+            det, curve = param_to_det(source), source
         report = verify_datum(curve, datum)
         if not report.passed:
             raise NotGeneric(
                 f"{method}: constructed curve fails verification",
                 stage=f"{method}:verify",
                 witness=report,
-            )
-        if det is None:
-            det = param_to_det(curve)
-        elif not curve_equals(curve, det):
-            raise NotGeneric(
-                f"{method}: certificate representations disagree",
-                stage=f"{method}:certificate",
             )
         return ExistenceCertificate(
             method=method, curve=curve, det=det, datum=datum, report=report
@@ -179,10 +189,10 @@ def _certify(method: str, stage: str, rows, datum: Datum) -> ExistenceCertificat
     the datum."""
     det = DetRnc(rows)
     try:
-        curve = det_to_param(det)
+        det_to_param(det)
     except NotGenericMatrix as exc:
         raise NotGeneric("assembled matrix is not generic", stage=stage) from exc
-    return ExistenceCertificate.make(method, curve, datum, det)
+    return ExistenceCertificate.make(method, datum, det)
 
 
 def _all_but_one(factors: Sequence, one) -> list:
@@ -204,19 +214,6 @@ class UnsupportedCase:
 
     reason: str
     analysis: CountAnalysis
-
-
-def _shape_tag(n: int, p: int, l: int) -> str | None:
-    for tag, (tp, tl) in {
-        "n+3,0": (n + 3, 0),
-        "n+2,1": (n + 2, 1),
-        "3,n": (3, n),
-        "2,n+1": (2, n + 1),
-        "1,n+2": (1, n + 2),
-    }.items():
-        if (p, l) == (tp, tl):
-            return tag
-    return None
 
 
 def expected_count(n: int, p: int, l: int) -> CountAnalysis:
@@ -244,28 +241,17 @@ def expected_count(n: int, p: int, l: int) -> CountAnalysis:
         verdict = VERDICT_POSITIVE
 
     curve_count: int | None = None
-    if total == n + 3:
-        if _shape_tag(n, p, l) is not None:
-            classification = EXISTS_UNIQUE
-            curve_count = 1
-        elif p >= 4 and l >= 2:
-            classification = NOT_EXISTS
-            curve_count = 0
-        else:  # p == 0
-            if n == 3:
-                classification = EXISTS_NONUNIQUE
-                curve_count = 6
-            else:
-                classification = OPEN
-    elif p >= 4 and l >= 2:
+    if _existence_constructor(n, p, l) is not None:
+        classification, curve_count = EXISTS_UNIQUE, 1
+    elif (p >= 4 and l >= 2) or total > n + 3:
         # the quadric obstruction needs only four points and two spaces
-        classification = NOT_EXISTS
-        curve_count = 0
-    elif total > n + 3:
-        classification = NOT_EXISTS
-        curve_count = 0
-    else:
+        classification, curve_count = NOT_EXISTS, 0
+    elif total < n + 3:
         classification = TRIVIAL
+    elif n == 3:  # p == 0: n + 3 spaces
+        classification, curve_count = EXISTS_NONUNIQUE, 6
+    else:
+        classification = OPEN
     return CountAnalysis(
         n=n,
         p=p,
@@ -320,9 +306,7 @@ def construct_through_points(points: Sequence[ProjPoint]) -> ExistenceCertificat
     others = _all_but_one([BinaryForm(1, [1, qi]) for qi in q], BinaryForm.constant_one())
     normalized = ParamRnc([qi * f for qi, f in zip(q, others)])
     curve = transform(t.inverse(), normalized)
-    return ExistenceCertificate.make(
-        "frame_fit", curve, Datum(n=n, points=tuple(points))
-    )
+    return ExistenceCertificate.make("frame_fit", Datum(n=n, points=tuple(points)), curve)
 
 
 def cremona_apply(x: ProjPoint) -> ProjPoint:
@@ -391,9 +375,7 @@ def construct_through_points_cremona(points: Sequence[ProjPoint]) -> ExistenceCe
         )
     normalized = cremona_pullback_line(image_a, image_b)
     curve = transform(t.inverse(), normalized)
-    return ExistenceCertificate.make(
-        "cremona", curve, Datum(n=n, points=tuple(points))
-    )
+    return ExistenceCertificate.make("cremona", Datum(n=n, points=tuple(points)), curve)
 
 
 # -- (n+2, 1) -----------------------------------------------------------------
@@ -436,18 +418,27 @@ def construct_np2_one_space(
             unit = [0] * (n + 1)
             unit[j] = 1
             basis_products.append(linform_product_vector(lead, LinForm(unit), idx))
-    decompose_matrix = [list(col) for col in zip(*basis_products)]
+    # One kernel of [products | -quadrics] splits every quadric.  The
+    # products f x_j, g x_j have the single relation (g, -f), so their
+    # columns hold 2n + 1 pivots and one free column, whose basis vector
+    # (the relation) comes first.  Every kernel quadric contains the space,
+    # so it lies in f S1 + g S1 and its column is free: the basis vector of
+    # quadric column k is 1 there and 0 at the other free columns, and its
+    # first 2(n + 1) entries are the solution of products . w = quadric
+    # with the free product variable 0.  Hence exactly len(kernel) + 1
+    # vectors come back and the branch below cannot be reached.
+    columns = basis_products + [[-c for c in quad] for quad in kernel]
+    split = nullspace([list(row) for row in zip(*columns)])
+    if len(split) != len(kernel) + 1:
+        raise NotGeneric(
+            "quadric does not split along the pencil",
+            stage="np2:decomposition",
+            witness=len(split),
+        )
     top: list[LinForm] = [f]
     bottom: list[LinForm] = [g]
-    for quad in kernel:
-        w = linsolve(decompose_matrix, quad)
-        if w is None:
-            raise NotGeneric(
-                "quadric does not split along the pencil",
-                stage="np2:decomposition",
-                witness=quad,
-            )
-        a_coeffs, b_coeffs = w[: n + 1], w[n + 1:]
+    for w in split[1:]:
+        a_coeffs, b_coeffs = w[: n + 1], w[n + 1: 2 * (n + 1)]
         if not any(a_coeffs) or not any(b_coeffs):
             raise NotGeneric(
                 "degenerate quadric decomposition", stage="np2:decomposition"
@@ -610,11 +601,10 @@ def construct_one_point(
             stage="one_point:solution_space",
             witness=len(solutions),
         )
-    if ff_rank(solutions + [row1_coords]) != 2:
-        raise NotGeneric(
-            "top row is not among the bottom-row solutions",
-            stage="one_point:row1_membership",
-        )
+    # row1 = (a_i, b_i) with h_i = a_i f_i + b_i g_i always solves the
+    # conditions: each condition row dotted with row1 is w . sum_i e_i h_i,
+    # which is 0 because sum_i e_i h_i lies in the extra space and w is one
+    # of its span conditions.  So only the pick below needs a rank test.
     pick = solutions[0] if ff_rank([row1_coords, solutions[0]]) == 2 else solutions[1]
     bottom = []
     for i, (f_i, g_i) in enumerate(pencil_bases):
@@ -631,6 +621,18 @@ def construct_one_point(
 # -- dispatcher ----------------------------------------------------------------
 
 
+def _existence_constructor(n: int, p: int, l: int):
+    """The constructor of the existence shape (p, l) in P^n, or None; the
+    one table of the five shapes for `expected_count` and `construct`."""
+    return {
+        (n + 3, 0): lambda d: construct_through_points(d.points),
+        (n + 2, 1): lambda d: construct_np2_one_space(d.points, d.spaces[0]),
+        (3, n): lambda d: construct_three_points(d.points, d.spaces),
+        (2, n + 1): lambda d: construct_two_points(d.points, d.spaces),
+        (1, n + 2): lambda d: construct_one_point(d.points[0], d.spaces),
+    }.get((p, l))
+
+
 def construct(datum: Datum):
     """Resolve a datum: a certificate, an obstruction, or an open case.
 
@@ -644,19 +646,10 @@ def construct(datum: Datum):
             analysis=analysis,
         )
     if p >= 4 and l >= 2:
-        from .obstruct import nonexistence_certificate
-
         return nonexistence_certificate(datum)
-    if (p, l) == (n + 3, 0):
-        return construct_through_points(datum.points)
-    if (p, l) == (n + 2, 1):
-        return construct_np2_one_space(datum.points, datum.spaces[0])
-    if (p, l) == (3, n):
-        return construct_three_points(datum.points, datum.spaces)
-    if (p, l) == (2, n + 1):
-        return construct_two_points(datum.points, datum.spaces)
-    if (p, l) == (1, n + 2):
-        return construct_one_point(datum.points[0], datum.spaces)
+    build = _existence_constructor(n, p, l)
+    if build is not None:
+        return build(datum)
     return UnsupportedCase(
         reason=(
             "no constructor for n+3 codimension-two spaces: open for n > 3, "

@@ -56,6 +56,7 @@ from .projective import (
     ProjTransform,
     pencil_from_points,
     register_transform,
+    transform,
 )
 from .scalars import QQ, clear_denominators, integerize
 
@@ -381,14 +382,15 @@ def generalized_column_for(det: DetRnc, pencil: Pencil) -> list[QQ] | None:
     kernel = nullspace(rows)
     if not kernel:
         return None
+    # Both combinations lie in the pencil, so lambda works exactly when
+    # Q(lambda) != 0, Q being the determinant of their coordinates in the
+    # pencil basis: a quadratic form on the kernel.  If Q vanishes at every
+    # k_i and every k_i + k_j, polarization gives B(k_i, k_j) = 0 for all
+    # i, j, so Q vanishes identically and no lambda works.
     candidates = list(kernel)
     for i in range(len(kernel)):
         for j in range(i + 1, len(kernel)):
             candidates.append([a + b for a, b in zip(kernel[i], kernel[j])])
-            candidates.append([a - b for a, b in zip(kernel[i], kernel[j])])
-            candidates.append([a + 2 * b for a, b in zip(kernel[i], kernel[j])])
-    if len(kernel) > 2:
-        candidates.append([sum(col, QQ(0)) for col in zip(*kernel)])
     top, bottom = det.m
     for lam in candidates:
         combo_top = [
@@ -538,6 +540,4 @@ def _transform_param_rnc(t: ProjTransform, curve: ParamRnc) -> ParamRnc:
 
 @register_transform(DetRnc)
 def _transform_det_rnc(t: ProjTransform, det: DetRnc) -> DetRnc:
-    from .projective import transform
-
     return DetRnc([[transform(t, f) for f in row] for row in det.m])

@@ -14,7 +14,8 @@ from .errors import BadDimension, DegenerateSpan, NotGeneric
 from .linalg import Matrix
 from .projective import LinForm, Pencil, ProjPoint, ProjTransform
 
-DEFAULT_RANGE = 5
+DEFAULT_RANGE = 5  # entries of random matrices and curve coefficients
+COORD_RANGE = 9  # coordinates of random points and linear forms
 
 # the most points plus spaces `random_datum` samples in one datum
 MAX_DATUM_OBJECTS = 1000
@@ -35,12 +36,12 @@ def random_invertible_matrix(size: int, rng: random.Random, bound: int = DEFAULT
             return m
 
 
-def random_transform(n: int, rng: random.Random, bound: int = DEFAULT_RANGE) -> ProjTransform:
-    return ProjTransform(random_invertible_matrix(n + 1, rng, bound))
+def random_transform(n: int, rng: random.Random) -> ProjTransform:
+    return ProjTransform(random_invertible_matrix(n + 1, rng))
 
 
-def random_rnc(n: int, rng: random.Random, bound: int = DEFAULT_RANGE) -> ParamRnc:
-    m = random_invertible_matrix(n + 1, rng, bound)
+def random_rnc(n: int, rng: random.Random) -> ParamRnc:
+    m = random_invertible_matrix(n + 1, rng)
     return ParamRnc([BinaryForm(n, row) for row in m.entries])
 
 
@@ -51,24 +52,24 @@ def distinct_parameters(count: int, rng: random.Random, bound: int = 30) -> list
     return [parameter(v, 1) for v in values]
 
 
-def random_point(n: int, rng: random.Random, bound: int = 9) -> ProjPoint:
+def random_point(n: int, rng: random.Random) -> ProjPoint:
     while True:
-        coords = [rng.randint(-bound, bound) for _ in range(n + 1)]
+        coords = [rng.randint(-COORD_RANGE, COORD_RANGE) for _ in range(n + 1)]
         if any(coords):
             return ProjPoint(coords)
 
 
-def random_linform(n: int, rng: random.Random, bound: int = 9) -> LinForm:
+def random_linform(n: int, rng: random.Random) -> LinForm:
     while True:
-        coeffs = [rng.randint(-bound, bound) for _ in range(n + 1)]
+        coeffs = [rng.randint(-COORD_RANGE, COORD_RANGE) for _ in range(n + 1)]
         if any(coeffs):
             return LinForm(coeffs)
 
 
-def random_pencil(n: int, rng: random.Random, bound: int = 9) -> Pencil:
+def random_pencil(n: int, rng: random.Random) -> Pencil:
     while True:
         try:
-            return Pencil(random_linform(n, rng, bound), random_linform(n, rng, bound))
+            return Pencil(random_linform(n, rng), random_linform(n, rng))
         except DegenerateSpan:
             continue
 

@@ -1,13 +1,23 @@
-"""Elimination-based reference for curve equality.
+"""Elimination-based references that tests compare the library against.
 
 `quadric_space` decides equality by comparing the canonical bases of the
 quadrics through two curves.  The library decides it by restriction
 (`curves._matrix_defines`) without elimination; tests compare the two.
+
+`np2_matrix_by_linsolve` splits each quadric of the (n+2, 1) system with
+its own `linsolve`; the library splits them all with one kernel.
 """
 
 from rncgeo.curves import DetRnc, ParamRnc
-from rncgeo.linalg import canonical_rowspace, nullspace
-from rncgeo.quadrics import monomial_index, monomials
+from rncgeo.linalg import canonical_rowspace, linsolve, nullspace
+from rncgeo.projective import LinForm
+from rncgeo.quadrics import (
+    containment_rows,
+    linform_product_vector,
+    monomial_index,
+    monomials,
+    point_value_row,
+)
 from rncgeo.scalars import integerize
 
 
@@ -68,3 +78,27 @@ def quadric_space(curve) -> tuple:
                 vectors.append(minor)
         return canonical_rowspace(vectors)
     raise TypeError(f"not a curve: {type(curve).__name__}")
+
+
+def np2_matrix_by_linsolve(points, space) -> DetRnc:
+    """The matrix of `construct_np2_one_space` for the datum: column 1 is
+    the pencil (f, g), and every other column (-B, A) comes from a basis
+    quadric written as f A + g B by `linsolve` (free variables zero)."""
+    n = space.n
+    monos = monomials(n, 2)
+    rows = containment_rows(space, 2)
+    rows += [point_value_row(p, monos) for p in points]
+    f, g = space.canonical_forms()
+    idx = monomial_index(monos)
+    products = [
+        linform_product_vector(lead, LinForm([int(k == j) for k in range(n + 1)]), idx)
+        for lead in (f, g)
+        for j in range(n + 1)
+    ]
+    matrix = [list(row) for row in zip(*products)]
+    top, bottom = [f], [g]
+    for quad in nullspace(rows):
+        w = linsolve(matrix, quad)
+        top.append(LinForm([-c for c in w[n + 1:]]))
+        bottom.append(LinForm(w[: n + 1]))
+    return DetRnc([top, bottom])

@@ -46,6 +46,8 @@ from rncgeo.projective import (
     standard_frame,
 )
 
+from reference import np2_matrix_by_linsolve
+
 
 def moment_points(n, ts):
     c = moment_curve(n)
@@ -468,3 +470,23 @@ def test_constructors_reject_mixed_dimensions():
             points[k] = stray
             with pytest.raises(DimensionMismatch):
                 build(points, datum.spaces)
+
+
+def test_np2_splits_every_quadric_with_one_kernel(monkeypatch):
+    # the matrix is the one per-quadric `linsolve` builds, and the two
+    # kernels are the quadric system and its split
+    module = sys.modules["rncgeo.construct"]
+    original = module.nullspace
+    calls = []
+
+    def counting(m):
+        calls.append(1)
+        return original(m)
+
+    monkeypatch.setattr(module, "nullspace", counting)
+    for n in (7, 8, 9):
+        datum, _ = forward_datum(n, n + 2, 1, rng_from_seed(("np2-split", n)))
+        calls.clear()
+        cert = construct_np2_one_space(datum.points, datum.spaces[0])
+        assert len(calls) == 2, n
+        assert cert.det == np2_matrix_by_linsolve(datum.points, datum.spaces[0]), n

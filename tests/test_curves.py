@@ -10,6 +10,7 @@ from rncgeo.binforms import BinaryForm, form_from_roots
 from rncgeo.curves import (
     DetRnc,
     ParamRnc,
+    _matrix_defines,
     chord_space,
     curve_equals,
     det_to_param,
@@ -118,6 +119,41 @@ def test_round_trip_from_random_det_rnc():
             assert curve_equals(curve, det)
 
 
+def test_det_to_param_output_always_defines_its_matrix():
+    # certificates built from a matrix skip the equality check because
+    # whatever det_to_param returns is defined by its matrix; small entries
+    # make many of these matrices degenerate
+    rng = random.Random("det-defines")
+
+    def form(n, bound):
+        while True:
+            coeffs = [rng.randint(-bound, bound) for _ in range(n + 1)]
+            if any(coeffs):
+                return LinForm(coeffs)
+
+    outcomes = {"generic": 0, "rejected": 0}
+    for n in range(3, 8):
+        dets = []
+        for bound in (1, 5):
+            for _ in range(12):
+                dets.append([[form(n, bound) for _ in range(n)] for _ in range(2)])
+        top, bottom = dets[-1]
+        scaled = [LinForm([2 * c for c in f.coeffs]) for f in (top[0], bottom[0])]
+        # proportional columns, then two equal rows
+        dets.append([[top[0], scaled[0]] + top[2:], [bottom[0], scaled[1]] + bottom[2:]])
+        dets.append([top, list(top)])
+        for rows in dets:
+            det = DetRnc(rows)
+            try:
+                curve = det_to_param(det)
+            except NotGenericMatrix:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["generic"] += 1
+            assert _matrix_defines(curve, det), n
+    assert min(outcomes.values()) > 10, outcomes
+
+
 def test_det_to_param_rejects_proportional_columns():
     f = LinForm([1, 2, 0, 0])
     g = LinForm([0, 1, 1, 0])
@@ -192,6 +228,16 @@ def test_generalized_column_literal_column():
     lam = generalized_column_for(det, pencil)
     lead = next(x for x in lam if x)
     assert [x / lead for x in lam] == [QQ(0), QQ(1), QQ(0)]
+
+
+def test_generalized_column_needs_the_sum_of_kernel_vectors():
+    # the kernel is {l1 + l2 + l3 = 0}, with basis (-1, 1, 0) and
+    # (-1, 0, 1); the combinations are (l2 x0, l3 x1), so Q = l2 l3
+    # vanishes at both basis vectors and only their sum spans the pencil
+    x0, x1, x2, x3 = (LinForm([int(k == i) for k in range(4)]) for i in range(4))
+    x0_x2, x1_x3 = LinForm([1, 0, 1, 0]), LinForm([0, 1, 0, 1])
+    det = DetRnc([[x2, x0_x2, x2], [x3, x3, x1_x3]])
+    assert generalized_column_for(det, Pencil(x0, x1)) == [QQ(-2), QQ(1), QQ(1)]
 
 
 def test_generalized_column_generic_pencil_none():

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -221,6 +222,40 @@ def test_cli_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     code, out = run_cli(capsys, "construct", str(path))
+    assert code == 13
+    assert json.loads(out)["error_class"] == "parse_error"
+
+
+def _feed(tmp_path, monkeypatch, source, data):
+    if source == "file":
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        return str(path)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    return "-"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_cli_non_utf8_document_is_a_parse_error(tmp_path, capsys, monkeypatch, source):
+    path = _feed(tmp_path, monkeypatch, source, bytes([0xFF, 0xFE, 0x7B, 0x7D]))
+    code, out = run_cli(capsys, "construct", path)
+    assert code == 13
+    assert json.loads(out)["error_class"] == "parse_error"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_cli_overlong_integer_is_a_parse_error(tmp_path, capsys, monkeypatch, source):
+    # past Python's 4300-digit limit on integer string conversion
+    data = b'{"kind": "datum", "n": ' + b"7" * 5000 + b"}"
+    code, out = run_cli(capsys, "construct", _feed(tmp_path, monkeypatch, source, data))
+    assert code == 13
+    assert json.loads(out)["error_class"] == "parse_error"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_cli_deeply_nested_document_is_a_parse_error(tmp_path, capsys, monkeypatch, source):
+    data = b"[" * 100_000
+    code, out = run_cli(capsys, "construct", _feed(tmp_path, monkeypatch, source, data))
     assert code == 13
     assert json.loads(out)["error_class"] == "parse_error"
 
