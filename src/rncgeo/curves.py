@@ -18,7 +18,8 @@ locus is the curve.  Conversions go both ways:
 Restriction of a linear form and evaluation at a point run on integers:
 the curve keeps its primitive integer coefficients, and the transported
 Hankel matrix has primitive integer columns.  The invertibility check of
-a `ParamRnc` is a fraction-free rank of those coefficients.
+a `ParamRnc` is a certified modular rank of those coefficients (one
+elimination mod p when, as for every curve, the rank is full).
 
 Equality has one algorithm: restricting a matrix to a parametrized curve
 (`_matrix_defines`), with no elimination.  A parametrization meets the

@@ -260,8 +260,13 @@ def ah_exceptions_suite(seed=0) -> list[InterpolationCase]:
 
 
 def quartic_shape_spec(n: int, seed=0) -> SchemeSpec:
-    """Seeded generic instance of the quartic shape: n+2 double points and
-    one doubled codimension-two space."""
+    """Seeded instance of the quartic shape: n+2 double points and one
+    doubled codimension-two space.
+
+    The points and the space are drawn at random, not checked for
+    genericity, so a seed can give a special instance whose deficit is
+    larger than the generic 1: `quartic_shape_spec(3,
+    "3-hilbert-ranks-r5.3-3")` has rank 29 of 33, deficit 4."""
     rng = rng_from_seed(seed)
     points = _seeded_points(n, n + 2, rng)
     space = random_pencil(n, rng)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 
 from .linalg import Matrix, ff_rank
 from .projective import LinForm, Pencil, ProjPoint
-from .scalars import QQ
+from .scalars import QQ, clear_denominators, integerize
 
 Expt = tuple  # exponent tuple, length n+1
 
@@ -65,30 +65,29 @@ def point_value_row(point: ProjPoint, monos: list[Expt]) -> list[QQ]:
     return [evaluate_monomial(m, point.coords) for m in monos]
 
 
-def point_derivative_rows(point: ProjPoint, monos: list[Expt]) -> list[list[QQ]]:
-    """One row per variable: the gradient of the monomial basis at the point.
+def point_derivative_rows(point: ProjPoint, monos: list[Expt]) -> list[list[int]]:
+    """One row per variable: the gradient of the monomial basis at the
+    point, as a primitive integer row.
 
-    The value row is omitted by callers that need double points: it is a
-    combination of these by the Euler relation d*F = sum x_i dF/dx_i.
+    The gradient at a positive multiple c of the point scales every row by
+    a positive power of that multiple, so the rows are computed at the
+    primitive integer coordinates c, from the values of the degree d-1
+    monomials there: d/dx_i x^m = m_i x^(m - e_i).  The value row is
+    omitted by callers that need double points: it is a combination of
+    these by the Euler relation d*F = sum x_i dF/dx_i.
     """
     nvars = point.n + 1
-    degree = sum(monos[0]) if monos else 0
-    pows = [[QQ(1)] for _ in range(nvars)]
-    for j in range(nvars):
-        for _ in range(degree):
-            pows[j].append(pows[j][-1] * point.coords[j])
+    coords = integerize(point.coords)
+    top = max(sum(monos[0]) - 1, 0) if monos else 0  # degree of the derivatives
+    pows = [[c**e for e in range(top + 1)] for c in coords]
+    values = {e: prod(p[x] for p, x in zip(pows, e)) for e in monomials(point.n, top)}
     rows = []
     for i in range(nvars):
         row = []
         for m in monos:
-            if not m[i]:
-                row.append(QQ(0))
-                continue
-            val = QQ(m[i])
-            for j in range(nvars):
-                val *= pows[j][m[j] - (1 if j == i else 0)]
-            row.append(val)
-        rows.append(row)
+            k = m[i]
+            row.append(k * values[m[:i] + (k - 1,) + m[i + 1:]] if k else 0)
+        rows.append(integerize(row))
     return rows
 
 
@@ -107,29 +106,32 @@ def adapted_matrix(pencil: Pencil) -> Matrix:
     return Matrix(rows)
 
 
-def _mul_linear(poly: dict, lin, nvars: int) -> dict:
+def _mul_linear(poly: dict, lin, nvars: int, order: int) -> dict:
+    """poly * lin, keeping only monomials of y0-y1 degree < order: the
+    product never lowers that degree, so dropped terms stay irrelevant."""
     out: dict = {}
     for mono, c in poly.items():
         for b in range(nvars):
             coeff = lin[b]
-            if coeff:
+            if coeff and (b > 1 or mono[0] + mono[1] + 1 < order):
                 key = mono[:b] + (mono[b] + 1,) + mono[b + 1:]
-                out[key] = out.get(key, QQ(0)) + c * coeff
+                out[key] = out.get(key, 0) + c * coeff
     return out
 
 
-def _expand_monomial(e: Expt, subst_rows, nvars: int) -> dict:
-    """Expansion of the monomial after substituting x_a = sum subst_rows[a][b] y_b."""
-    poly = {(0,) * nvars: QQ(1)}
+def _expand_monomial(e: Expt, subst_rows, nvars: int, order: int) -> dict:
+    """The terms of y0-y1 degree < order in the expansion of the monomial
+    after substituting x_a = sum subst_rows[a][b] y_b."""
+    poly = {(0,) * nvars: 1}
     for a, k in enumerate(e):
         for _ in range(k):
-            poly = _mul_linear(poly, subst_rows[a], nvars)
+            poly = _mul_linear(poly, subst_rows[a], nvars, order)
     return poly
 
 
-def space_condition_rows(pencil: Pencil, d: int, order: int) -> list[list[QQ]]:
-    """Rows forcing a degree-d form to vanish on the pencil's space to the
-    given order (1 = containment, 2 = double space).
+def space_condition_rows(pencil: Pencil, d: int, order: int) -> list[list[int]]:
+    """Primitive integer rows forcing a degree-d form to vanish on the
+    pencil's space to the given order (1 = containment, 2 = double space).
 
     In adapted coordinates the condition is that every coefficient on a
     monomial with y0-y1 degree < order vanishes; rows are those adapted
@@ -138,31 +140,39 @@ def space_condition_rows(pencil: Pencil, d: int, order: int) -> list[list[QQ]]:
     return [list(r) for r in _space_rows_cached(pencil.canonical, d, order)]
 
 
-@lru_cache(maxsize=4096)
+# A small bound on purpose: the only hits are an operation re-reading the
+# pencils it has just used (an obstruction reads its two spaces again when
+# it checks its quadric), and each n = 5 double-space entry pins about
+# 0.15 MB, so a large bound only makes memory grow with the number of
+# distinct pencils seen.
+@lru_cache(maxsize=16)
 def _space_rows_cached(stack: tuple, d: int, order: int) -> tuple:
+    """The rows of `space_condition_rows`.  The substitution x = R^-1 y is
+    scaled by the positive common denominator D of R^-1, which scales every
+    expanded degree-d monomial, hence every row, by D^d; dividing out each
+    row's content leaves the rows of the rational substitution."""
     f, g = stack
     pencil = Pencil(LinForm(f), LinForm(g))
     n = pencil.n
     nvars = n + 1
     monos = monomials(n, d)
     back = adapted_matrix(pencil).inverse()
-    subst = [list(back.entries[a]) for a in range(nvars)]
+    scaled, _ = clear_denominators([x for row in back.entries for x in row])
+    subst = [scaled[a * nvars:(a + 1) * nvars] for a in range(nvars)]
     targets = [m for m in monos if m[0] + m[1] < order]
     target_pos = {m: i for i, m in enumerate(targets)}
-    rows = [[QQ(0)] * len(monos) for _ in targets]
+    rows = [[0] * len(monos) for _ in targets]
     for col, e in enumerate(monos):
-        for mono, coeff in _expand_monomial(e, subst, nvars).items():
-            i = target_pos.get(mono)
-            if i is not None:
-                rows[i][col] = coeff
-    return tuple(tuple(r) for r in rows)
+        for mono, coeff in _expand_monomial(e, subst, nvars, order).items():
+            rows[target_pos[mono]][col] = coeff
+    return tuple(tuple(integerize(r)) for r in rows)
 
 
-def containment_rows(pencil: Pencil, d: int) -> list[list[QQ]]:
+def containment_rows(pencil: Pencil, d: int) -> list[list[int]]:
     return space_condition_rows(pencil, d, order=1)
 
 
-def double_space_rows(pencil: Pencil, d: int) -> list[list[QQ]]:
+def double_space_rows(pencil: Pencil, d: int) -> list[list[int]]:
     return space_condition_rows(pencil, d, order=2)
 
 

@@ -445,23 +445,31 @@ def test_det_to_param_inverts_param_to_det(n):
 
 def test_det_to_param_eliminates_once_per_node(monkeypatch):
     # the n+1 minors at a node come from one elimination, not from
-    # (n+1) determinants; the only other elimination is the rank check
-    # in ParamRnc
-    from rncgeo import linalg
+    # (n+1) determinants; the rank check in ParamRnc is the one modular
+    # `ff_rank`, which certifies full rank with no Bareiss pass
+    from rncgeo import curves, linalg
 
-    calls = []
+    calls, ranks = [], []
     real = linalg._bareiss_forward
+    real_rank = curves.ff_rank
 
     def counting(rows, ncols):
         calls.append(len(rows))
         return real(rows, ncols)
 
+    def counting_rank(m):
+        ranks.append(m)
+        return real_rank(m)
+
     monkeypatch.setattr(linalg, "_bareiss_forward", counting)
+    monkeypatch.setattr(curves, "ff_rank", counting_rank)
     c = rand_curve(9, random.Random("one-elimination"))
     det = DetRnc(param_to_det(c).m)
     calls.clear()
+    ranks.clear()
     assert det_to_param(det) == c
-    assert len(calls) == (9 + 1) + 1  # n + 1 nodes and the ParamRnc check
+    assert len(calls) == 9 + 1  # one per node
+    assert len(ranks) == 1  # the ParamRnc check
 
 
 def fraction_restrict(curve, form):

@@ -5,14 +5,28 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
+from rncgeo import linalg
+from rncgeo.generate import rng_from_seed
 from rncgeo.linalg import (
+    RANK_PRIMES,
     Matrix,
+    _bareiss_forward,
+    _certified_rank,
     canonical_rowspace,
     ff_rank,
     linsolve,
     nullspace,
     signed_maximal_minors,
+)
+from rncgeo.postulation import (
+    AH_EXCEPTIONS,
+    CONTROL_CASE,
+    SchemeSpec,
+    _seeded_points,
+    conditions_rows,
+    quartic_shape_spec,
 )
 from rncgeo.scalars import integerize
 
@@ -230,3 +244,159 @@ def test_integerize_fast_path_matches_fraction_path():
         assert all(type(x) is int for x in out)
         assert out is not ints  # callers eliminate on the result in place
     assert integerize([QQ(1, 2), QQ(-1, 3), 2]) == [3, -2, 12]
+
+
+# -- certified modular rank -----------------------------------------------------
+
+
+def bareiss_rank(rows):
+    ints = [integerize(r) for r in rows]
+    if not ints or not ints[0]:
+        return 0
+    return len(_bareiss_forward(ints, len(ints[0]))[0])
+
+
+def sympy_rank(rows):
+    """Rank over ZZ by sympy's DomainMatrix, an independent elimination."""
+    ints = [integerize(r) for r in rows]
+    if not ints or not ints[0]:
+        return 0
+    return DomainMatrix(
+        [[sympy.ZZ(x) for x in r] for r in ints], (len(ints), len(ints[0])), sympy.ZZ
+    ).rank()
+
+
+def no_bareiss(monkeypatch):
+    """Make the Bareiss fallback fail loudly: the rank must be certified."""
+
+    def refuse(rows, ncols):
+        raise AssertionError("ff_rank fell back to Bareiss")
+
+    monkeypatch.setattr(linalg, "_bareiss_forward", refuse)
+
+
+def condition_specs():
+    specs = [quartic_shape_spec(n, seed=1) for n in (3, 4, 5)]
+    rng = rng_from_seed(0)
+    for n, p, d in (*AH_EXCEPTIONS, CONTROL_CASE):
+        points = tuple(_seeded_points(n, p, rng))
+        specs.append(SchemeSpec(n=n, degree=d, double_points=points))
+    return specs
+
+
+@pytest.mark.parametrize("index", range(3 + len(AH_EXCEPTIONS) + 1))
+def test_modular_rank_matches_bareiss_and_sympy_on_condition_rows(index, monkeypatch):
+    rows = conditions_rows(condition_specs()[index])
+    expected = bareiss_rank(rows)
+    assert sympy_rank(rows) == expected
+    no_bareiss(monkeypatch)
+    assert ff_rank(rows) == expected
+    assert ff_rank(Matrix(rows).transpose()) == expected
+
+
+def shape_cases():
+    rng = random.Random("rank-shapes")
+
+    def rand(m, k, lo=-9, hi=9):
+        return [[rng.randint(lo, hi) for _ in range(k)] for _ in range(m)]
+
+    wide = rand(3, 7)
+    tall = rand(7, 3)
+    factor = rand(2, 6)
+    low = [[sum(a * b for a, b in zip(x, col)) for col in zip(*factor)] for x in rand(8, 2)]
+    duplicated = rand(4, 5)
+    duplicated += [duplicated[0][:], [2 * x for x in duplicated[1]], duplicated[0][:]]
+    huge = [[rng.randint(-(10**40), 10**40) for _ in range(5)] for _ in range(4)]
+    huge.append([a - 3 * b for a, b in zip(huge[0], huge[1])])
+    return {
+        "zero": [[0] * 4 for _ in range(3)],
+        "zero_rows": [],
+        "one_by_k": [[0, 3, -1, 4]],
+        "one_by_one_zero": [[0]],
+        "k_by_one": [[2], [0], [-5]],
+        "wide": wide,
+        "tall": tall,
+        "low_rank_tall": low,
+        "low_rank_wide": [list(c) for c in zip(*low)],
+        "duplicated_rows": duplicated,
+        "huge_entries": huge,
+        "fractions": [[QQ(1, 2), QQ(1, 3)], [QQ(3, 2), 1], [QQ(-1, 7), 0]],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(shape_cases()))
+def test_modular_rank_on_shapes(name, monkeypatch):
+    rows = shape_cases()[name]
+    expected = bareiss_rank(rows)
+    assert sympy_rank(rows) == expected
+    no_bareiss(monkeypatch)
+    assert ff_rank(rows) == expected
+
+
+def test_modular_rank_known_values():
+    cases = shape_cases()
+    assert ff_rank(cases["zero"]) == 0
+    assert ff_rank(cases["zero_rows"]) == 0
+    assert ff_rank(cases["low_rank_tall"]) == 2
+    assert ff_rank(cases["huge_entries"]) == 4
+    assert ff_rank(cases["fractions"]) == 2
+
+
+def product(x, y):
+    """The 6-column rows of X Y; rank <= len(y), so the rows are dependent."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] or [0] * 6 for row in x]
+
+
+low_rank_matrices = st.integers(0, 4).flatmap(
+    lambda r: st.builds(
+        product,
+        st.lists(
+            st.lists(st.integers(-5, 5), min_size=r, max_size=r), min_size=1, max_size=6
+        ),
+        st.lists(
+            st.lists(st.integers(-5, 5), min_size=6, max_size=6), min_size=r, max_size=r
+        ),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_matrices, low_rank_matrices))
+def test_modular_rank_matches_bareiss_and_sympy(rows):
+    assert ff_rank(rows) == bareiss_rank(rows) == sympy_rank(rows)
+
+
+BAD = RANK_PRIMES[0]
+
+
+def test_bad_prime_still_gives_the_rank():
+    # [P, 0] is made primitive ([1, 0]) before any reduction
+    assert ff_rank([[BAD, 0], [0, 1]]) == 2
+    # rank 1 mod P: the lifted dependency row0 = row1 fails the exact check
+    rows = [[BAD, 1], [0, 1]]
+    assert _certified_rank(rows, BAD) is None
+    assert _certified_rank(rows, RANK_PRIMES[1]) == 2
+    assert ff_rank(rows) == 2
+    # two dependencies modulo P, one of them real
+    rows = [[1, 2, 3], [1 + BAD, 2, 3], [2, 4, 6]]
+    assert _certified_rank(rows, BAD) is None
+    assert ff_rank(rows) == 2 == bareiss_rank(rows)
+
+
+def test_fallback_to_bareiss_when_primes_run_out(monkeypatch):
+    calls = []
+    real = linalg._bareiss_forward
+
+    def counting(rows, ncols):
+        calls.append(len(rows))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_bareiss_forward", counting)
+    rows = [[BAD, 1], [0, 1]]
+    monkeypatch.setattr(linalg, "RANK_PRIMES", (BAD,))
+    assert ff_rank(rows) == 2
+    assert calls == [2]
+    monkeypatch.setattr(linalg, "RANK_PRIMES", ())
+    assert ff_rank([[1, 2], [2, 4], [3, 6]]) == 1
+    assert calls == [2, 2]  # the 3 x 2 matrix is transposed first
+    assert ff_rank(Matrix.identity(3)) == 3

@@ -58,6 +58,19 @@ def test_quartic_shape_values_n4():
     assert report.deficit >= 1
 
 
+def test_seeded_quartic_instance_can_be_special():
+    # a seeded instance of the benchmark's labels with deficit 4, not 1:
+    # the modular rank and the Bareiss rank agree on it
+    from rncgeo.linalg import _bareiss_forward
+    from rncgeo.scalars import integerize
+
+    spec = quartic_shape_spec(3, "3-hilbert-ranks-r5.3-3")
+    report = hilbert_function(spec)
+    assert report.expected == 33 and report.actual_hf == 29 and report.deficit == 4
+    rows = [integerize(r) for r in conditions_rows(spec)]
+    assert report.expected - len(_bareiss_forward(rows, len(rows[0]))[0]) == 4
+
+
 def test_quartic_shape_deficit_n5():
     report = hilbert_function(quartic_shape_spec(5, seed=5))
     assert report.h_formula_value == expected_quartic_conditions(5)

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction as QQ
 
+from rncgeo.generate import random_pencil, rng_from_seed
 from rncgeo.linalg import canonical_rowspace, ff_rank, nullspace
 from rncgeo.projective import LinForm, Pencil, ProjPoint
 from rncgeo.quadrics import (
+    _space_rows_cached,
     containment_rows,
     double_space_rows,
     evaluate_poly,
@@ -13,6 +16,7 @@ from rncgeo.quadrics import (
     point_derivative_rows,
     point_value_row,
 )
+from rncgeo.scalars import integerize
 
 
 def test_quadric_monomial_order_p3():
@@ -92,3 +96,50 @@ def test_value_row_and_poly_eval():
     coeffs[idx[(1, 0, 0, 1)]] = QQ(-1)
     assert evaluate_poly(coeffs, monos, p) == QQ(-1)
     assert sum((c * v for c, v in zip(coeffs, row)), QQ(0)) == QQ(-1)
+
+
+def fraction_gradient_rows(point, monos):
+    """d/dx_i of every monomial at the point, in Fraction arithmetic."""
+    rows = []
+    for i in range(point.n + 1):
+        row = []
+        for m in monos:
+            val = QQ(m[i])
+            if m[i]:
+                for j, (x, k) in enumerate(zip(point.coords, m)):
+                    val *= x ** (k - (j == i))
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
+def test_point_derivative_rows_are_integerized_fraction_rows():
+    rng = random.Random("gradient-rows")
+    for n, d in [(2, 1), (2, 3), (3, 4), (4, 4), (5, 2)]:
+        monos = monomials(n, d)
+        for _ in range(4):
+            coords = [QQ(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n + 1)]
+            coords[rng.randrange(n + 1)] = QQ(rng.randint(1, 5), rng.randint(1, 3))
+            point = ProjPoint(coords)
+            rows = point_derivative_rows(point, monos)
+            assert all(type(x) is int for row in rows for x in row)
+            assert rows == [integerize(r) for r in fraction_gradient_rows(point, monos)]
+
+
+def test_space_rows_are_primitive_integers():
+    rng = rng_from_seed(41)
+    cases = [(3, 2, containment_rows), (4, 3, double_space_rows), (5, 4, double_space_rows)]
+    for n, d, make in cases:
+        rows = make(random_pencil(n, rng), d)
+        assert all(type(x) is int for row in rows for x in row)
+        assert all(integerize(row) == row for row in rows)
+        assert ff_rank(rows) == len(rows)
+
+
+def test_space_rows_cache_stays_small():
+    rng = rng_from_seed(43)
+    bound = _space_rows_cached.cache_info().maxsize
+    assert bound <= 16
+    for _ in range(40):
+        double_space_rows(random_pencil(5, rng), 4)
+    assert _space_rows_cached.cache_info().currsize <= bound
