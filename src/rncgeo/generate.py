@@ -20,6 +20,10 @@ COORD_RANGE = 9  # coordinates of random points and linear forms
 # the most points plus spaces `random_datum` samples in one datum
 MAX_DATUM_OBJECTS = 1000
 
+# the largest n `random_datum` samples in: at n = 20, `random-datum 20 3 20
+# --forward` takes 1.4 s and `random-datum 20 1000 0 --forward` 3.5 s (2-vCPU VM)
+MAX_DATUM_DIMENSION = 20
+
 
 def rng_from_seed(seed) -> random.Random:
     """Deterministic RNG; tuples are flattened to a stable string seed
@@ -110,12 +114,15 @@ def random_datum(n: int, p: int, l: int, rng: random.Random, forward: bool = Fal
     Non-forward data are independent uniform points and pencils (the right
     input for the non-existence regime), drawn until p distinct points and
     l distinct pencils are found or `draw_budget(p, l)` candidates are
-    spent (NotGeneric).  n < 1, a negative count or p + l above
-    MAX_DATUM_OBJECTS raises BadDimension before anything is drawn."""
+    spent (NotGeneric).  n < 1, n above MAX_DATUM_DIMENSION, a negative
+    count or p + l above MAX_DATUM_OBJECTS raises BadDimension before
+    anything is drawn."""
     from .construct import Datum
 
-    if n < 1 or p < 0 or l < 0:
-        raise BadDimension(f"random data need n >= 1 and p, l >= 0; got ({n}, {p}, {l})")
+    if not 1 <= n <= MAX_DATUM_DIMENSION or p < 0 or l < 0:
+        raise BadDimension(
+            f"random data need 1 <= n <= {MAX_DATUM_DIMENSION} and p, l >= 0; got ({n}, {p}, {l})"
+        )
     if p + l > MAX_DATUM_OBJECTS:
         raise BadDimension(
             f"random data hold at most {MAX_DATUM_OBJECTS} points and spaces; got {p + l}"

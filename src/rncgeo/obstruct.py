@@ -127,7 +127,11 @@ def nonexistence_certificate(datum) -> ObstructionCertificate:
 
     Uses the first two spaces and the first four points; if the quadric
     vanishes at the fourth point the datum is special and ObstructionFails
-    reports it (without concluding existence)."""
+    reports it (without concluding existence).
+
+    `ObstructionCertificate.verify` is not run: the quadric is an exact
+    kernel vector of the very rows `verify` rebuilds, the fourth point's
+    value is checked nonzero here, and the ledger is built from n."""
     n, p, l = datum.n, datum.p, datum.l
     if p < 4 or l < 2 or p + l != n + 3:
         raise BadShape(
@@ -143,7 +147,7 @@ def nonexistence_certificate(datum) -> ObstructionCertificate:
             stage="obstruction:excluded_point",
             witness=p4,
         )
-    cert = ObstructionCertificate(
+    return ObstructionCertificate(
         n=n,
         quadric=tuple(quad),
         spaces=(l1, l2),
@@ -152,9 +156,3 @@ def nonexistence_certificate(datum) -> ObstructionCertificate:
         excluded_value=value,
         ledger=obstruction_ledger(n),
     )
-    if not cert.verify():
-        raise NotGeneric(
-            "certificate failed its own re-verification",
-            stage="obstruction:selfcheck",
-        )
-    return cert

@@ -30,7 +30,9 @@ from .quadrics import double_space_rows, monomial_count, monomials, point_deriva
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Double points plus doubled codimension-two spaces, with a degree."""
+    """Double points and doubled codimension-two spaces, each listed once
+    (a repeat, even with rescaled coordinates, only adds dependent rows),
+    with a degree."""
 
     n: int
     degree: int
@@ -44,6 +46,9 @@ class SchemeSpec:
             s.n != self.n for s in self.double_spaces
         ):
             raise DimensionMismatch("scheme entries have mixed ambient dimensions")
+        for name, items in (("point", self.double_points), ("space", self.double_spaces)):
+            if len(set(items)) < len(items):
+                raise ValueError(f"a double {name} is repeated")
 
 
 @register_transform(SchemeSpec)

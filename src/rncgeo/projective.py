@@ -197,19 +197,22 @@ def standard_frame(n: int) -> list[ProjPoint]:
 
 def frame_map(points: Sequence[ProjPoint]) -> ProjTransform:
     """The unique automorphism sending the n+2 given points (in linearly
-    general position) to the standard frame e_0, ..., e_n, (1:...:1)."""
+    general position) to the standard frame e_0, ..., e_n, (1:...:1): for
+    B the head points as columns and w = B^-1 p_(n+1), (B diag(w))^-1 is
+    row i of B^-1 divided by w_i."""
     n = points[0].n
     if len(points) != n + 2:
         raise DimensionMismatch(f"frame of P^{n} needs {n + 2} points, got {len(points)}")
     if any(p.n != n for p in points):
         raise DimensionMismatch("frame points have mixed ambient dimensions")
-    base = Matrix(list(zip(*(p.coords for p in points[: n + 1]))))
-    if base.det() == 0:
+    try:
+        inv = Matrix(list(zip(*(p.coords for p in points[: n + 1])))).inverse()
+    except ValueError:
         raise NotGeneric(
             "first n+1 frame points are dependent", stage="frame_map",
             witness=tuple(points[: n + 1]),
-        )
-    weights = base.inverse().apply(list(points[n + 1].coords))
+        ) from None
+    weights = inv.apply(list(points[n + 1].coords))
     for i, w in enumerate(weights):
         if not w:
             subset = tuple(p for j, p in enumerate(points[: n + 1]) if j != i) + (points[n + 1],)
@@ -217,10 +220,7 @@ def frame_map(points: Sequence[ProjPoint]) -> ProjTransform:
                 "last frame point is dependent on n of the others",
                 stage="frame_map", witness=subset,
             )
-    scaled = Matrix(
-        [[base.entries[r][c] * weights[c] for c in range(n + 1)] for r in range(n + 1)]
-    )
-    return ProjTransform(scaled.inverse())
+    return ProjTransform(Matrix([[x / w for x in row] for row, w in zip(inv.entries, weights)]))
 
 
 def pencil_from_points(points: Sequence[ProjPoint]) -> Pencil:

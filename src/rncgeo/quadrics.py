@@ -6,17 +6,22 @@ ordering.  Containment and double-vanishing conditions along a
 codimension-two space are generated in adapted coordinates (the space moved
 to {y0 = y1 = 0}) and pulled back through the substitution, which keeps the
 row generation purely combinatorial.
+
+The adapted coordinates are read off the pencil's canonical stack Z (its
+RREF rows, denominators cleared) with no rank and no inverse: y0, y1 are
+the rows of Z and y_2, ..., y_n the x_j for j other than m1, the last
+nonzero column, and m0, the last column before m1 whose 2 x 2 block B with
+it is invertible; `space_condition_rows` shows why these match the greedy
+completion of Z by e_0, e_1, ....
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, prod
 
-from .linalg import Matrix, ff_rank
 from .projective import LinForm, Pencil, ProjPoint
-from .scalars import QQ, clear_denominators, integerize
+from .scalars import QQ, integerize
 
 Expt = tuple  # exponent tuple, length n+1
 
@@ -91,21 +96,6 @@ def point_derivative_rows(point: ProjPoint, monos: list[Expt]) -> list[list[int]
     return rows
 
 
-def adapted_matrix(pencil: Pencil) -> Matrix:
-    """Invertible matrix R whose first two rows are the pencil's canonical
-    forms; y = R x moves the space to {y0 = y1 = 0}.  The completion by
-    standard basis vectors is greedy, hence deterministic."""
-    n = pencil.n
-    rows = [list(r) for r in pencil.canonical]
-    for j in range(n + 1):
-        candidate = [QQ(int(k == j)) for k in range(n + 1)]
-        if ff_rank(rows + [candidate]) > len(rows):
-            rows.append(candidate)
-        if len(rows) == n + 1:
-            break
-    return Matrix(rows)
-
-
 def _mul_linear(poly: dict, lin, nvars: int, order: int) -> dict:
     """poly * lin, keeping only monomials of y0-y1 degree < order: the
     product never lowers that degree, so dropped terms stay irrelevant."""
@@ -135,37 +125,33 @@ def space_condition_rows(pencil: Pencil, d: int, order: int) -> list[list[int]]:
 
     In adapted coordinates the condition is that every coefficient on a
     monomial with y0-y1 degree < order vanishes; rows are those adapted
-    coefficients expressed on the ambient monomial basis.
+    coefficients expressed on the ambient monomial basis.  m0 and m1 are
+    the two columns the greedy completion of Z by e_0, e_1, ... leaves out,
+    as it accepts e_j iff Z keeps rank 2 on the columns not yet taken.
+    Every scale is positive (clearing denominators scales whole rows, and
+    |det B| each degree-d monomial by |det B|^d), so row contents cancel it.
     """
-    return [list(r) for r in _space_rows_cached(pencil.canonical, d, order)]
-
-
-# A small bound on purpose: the only hits are an operation re-reading the
-# pencils it has just used (an obstruction reads its two spaces again when
-# it checks its quadric), and each n = 5 double-space entry pins about
-# 0.15 MB, so a large bound only makes memory grow with the number of
-# distinct pencils seen.
-@lru_cache(maxsize=16)
-def _space_rows_cached(stack: tuple, d: int, order: int) -> tuple:
-    """The rows of `space_condition_rows`.  The substitution x = R^-1 y is
-    scaled by the positive common denominator D of R^-1, which scales every
-    expanded degree-d monomial, hence every row, by D^d; dividing out each
-    row's content leaves the rows of the rational substitution."""
-    f, g = stack
-    pencil = Pencil(LinForm(f), LinForm(g))
     n = pencil.n
     nvars = n + 1
+    z0, z1 = (integerize(row) for row in pencil.canonical)
+    m1 = max(c for c in range(nvars) if z0[c] or z1[c])
+    m0 = max(c for c in range(m1) if z0[c] * z1[m1] != z0[m1] * z1[c])
+    det = z0[m0] * z1[m1] - z0[m1] * z1[m0]
+    sign = 1 if det > 0 else -1
+    rest = [c for c in range(nvars) if c != m0 and c != m1]
+    # x = subst y / |det B|: x_j = y_(2+k) for j = rest[k], and
+    # x_(m0, m1) = adj(B) ((y0, y1) - Z_rest y_rest) / det B
+    subst = [[0, 0] + [abs(det) * (j == c) for j in rest] for c in range(nvars)]
+    for c, u, v in ((m0, z1[m1], -z0[m1]), (m1, -z1[m0], z0[m0])):
+        subst[c] = [sign * u, sign * v] + [-sign * (u * z0[j] + v * z1[j]) for j in rest]
     monos = monomials(n, d)
-    back = adapted_matrix(pencil).inverse()
-    scaled, _ = clear_denominators([x for row in back.entries for x in row])
-    subst = [scaled[a * nvars:(a + 1) * nvars] for a in range(nvars)]
     targets = [m for m in monos if m[0] + m[1] < order]
     target_pos = {m: i for i, m in enumerate(targets)}
     rows = [[0] * len(monos) for _ in targets]
     for col, e in enumerate(monos):
         for mono, coeff in _expand_monomial(e, subst, nvars, order).items():
             rows[target_pos[mono]][col] = coeff
-    return tuple(tuple(integerize(r)) for r in rows)
+    return [integerize(r) for r in rows]
 
 
 def containment_rows(pencil: Pencil, d: int) -> list[list[int]]:

@@ -110,7 +110,10 @@ def _binform_in(value, where: str) -> BinaryForm:
     if not isinstance(value, dict) or "degree" not in value or "coeffs" not in value:
         raise ParseError("expected {degree, coeffs}", location=where)
     try:
-        return BinaryForm(value["degree"], _vector_in(value["coeffs"], f"{where}/coeffs"))
+        return BinaryForm(
+            _int_in(value["degree"], f"{where}/degree"),
+            _vector_in(value["coeffs"], f"{where}/coeffs"),
+        )
     except ValueError as exc:
         raise ParseError(str(exc), location=where) from exc
 

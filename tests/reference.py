@@ -6,10 +6,18 @@ quadrics through two curves.  The library decides it by restriction
 
 `np2_matrix_by_linsolve` splits each quadric of the (n+2, 1) system with
 its own `linsolve`; the library splits them all with one kernel.
+
+`space_rows_by_inverse` builds the condition rows along a codimension-two
+space by completing the canonical stack to an invertible matrix with rank
+tests, inverting it and expanding every monomial in full; the library
+reads the substitution off the stack in closed form.
+
+`frame_map_by_two_inverses` inverts the matrix of the frame's head and then
+the rescaled matrix; the library divides the rows of the one inverse.
 """
 
 from rncgeo.curves import DetRnc, ParamRnc
-from rncgeo.linalg import canonical_rowspace, linsolve, nullspace
+from rncgeo.linalg import Matrix, canonical_rowspace, ff_rank, linsolve, nullspace
 from rncgeo.projective import LinForm
 from rncgeo.quadrics import (
     containment_rows,
@@ -18,7 +26,7 @@ from rncgeo.quadrics import (
     monomials,
     point_value_row,
 )
-from rncgeo.scalars import integerize
+from rncgeo.scalars import QQ, integerize
 
 
 def quadric_space(curve) -> tuple:
@@ -102,3 +110,55 @@ def np2_matrix_by_linsolve(points, space) -> DetRnc:
         top.append(LinForm([-c for c in w[n + 1:]]))
         bottom.append(LinForm(w[: n + 1]))
     return DetRnc([top, bottom])
+
+
+def adapted_matrix(pencil) -> Matrix:
+    """Invertible matrix R whose first two rows are the pencil's canonical
+    forms; y = R x moves the space to {y0 = y1 = 0}.  The completion by
+    standard basis vectors is greedy, hence deterministic."""
+    n = pencil.n
+    rows = [list(r) for r in pencil.canonical]
+    for j in range(n + 1):
+        candidate = [QQ(int(k == j)) for k in range(n + 1)]
+        if ff_rank(rows + [candidate]) > len(rows):
+            rows.append(candidate)
+        if len(rows) == n + 1:
+            break
+    return Matrix(rows)
+
+
+def space_rows_by_inverse(pencil, d: int, order: int) -> list[list[int]]:
+    """The rows of `quadrics.space_condition_rows`: substitute x = R^-1 y
+    for R = `adapted_matrix(pencil)`, expand each degree-d monomial in full
+    and keep the coefficients on the y monomials of y0-y1 degree < order,
+    one primitive integer row per such monomial."""
+    nvars = pencil.n + 1
+    monos = monomials(pencil.n, d)
+    back = adapted_matrix(pencil).inverse().entries
+    targets = {m: i for i, m in enumerate(m for m in monos if m[0] + m[1] < order)}
+    rows = [[QQ(0)] * len(monos) for _ in targets]
+    for col, e in enumerate(monos):
+        poly = {(0,) * nvars: QQ(1)}
+        for a, k in enumerate(e):
+            for _ in range(k):
+                product = {}
+                for mono, c in poly.items():
+                    for b, coeff in enumerate(back[a]):
+                        if coeff:
+                            key = mono[:b] + (mono[b] + 1,) + mono[b + 1:]
+                            product[key] = product.get(key, 0) + c * coeff
+                poly = product
+        for mono, c in poly.items():
+            if mono in targets:
+                rows[targets[mono]][col] = c
+    return [integerize(r) for r in rows]
+
+
+def frame_map_by_two_inverses(points) -> Matrix:
+    """(B diag(w))^-1 for B the first n+1 points as columns and w = B^-1
+    of the last point, with both inverses computed."""
+    n = points[0].n
+    base = Matrix(list(zip(*(p.coords for p in points[: n + 1]))))
+    weights = base.inverse().apply(list(points[n + 1].coords))
+    scaled = [[base.entries[r][c] * weights[c] for c in range(n + 1)] for r in range(n + 1)]
+    return Matrix(scaled).inverse()

@@ -5,7 +5,8 @@ import pytest
 
 from rncgeo.cli import main
 from rncgeo.curves import verify_datum
-from rncgeo.generate import draw_budget, forward_datum, rng_from_seed
+from rncgeo import generate
+from rncgeo.generate import MAX_DATUM_DIMENSION, draw_budget, forward_datum, rng_from_seed
 
 SHAPES = {
     "n+3,0": lambda n: (n + 3, 0),
@@ -94,3 +95,23 @@ def test_uniform_random_datum_keeps_its_seeds(capsys, argv, digest):
     assert main(["random-datum", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [MAX_DATUM_DIMENSION + 1, 10**9])
+@pytest.mark.parametrize("extra", [(), ("--forward",)])
+def test_random_datum_refuses_large_n_before_any_draw(capsys, monkeypatch, n, extra):
+    def no_draw(*args):
+        raise AssertionError("drew before checking n")
+
+    for name in ("random_point", "random_pencil", "random_rnc"):
+        monkeypatch.setattr(generate, name, no_draw)
+    code, doc = run_random_datum(capsys, str(n), "1", "0", *extra)
+    assert code == 13
+    assert doc["error_class"] == "bad_dimension"
+
+
+def test_random_datum_at_the_dimension_cap(capsys):
+    n = str(MAX_DATUM_DIMENSION)
+    code, doc = run_random_datum(capsys, n, "1", "1")
+    assert code == 0
+    assert doc["datum"]["n"] == MAX_DATUM_DIMENSION

@@ -6,7 +6,12 @@ import pytest
 from rncgeo.construct import Datum, expected_count
 from rncgeo.errors import BadShape, ObstructionFails
 from rncgeo.generate import random_datum, rng_from_seed
-from rncgeo.obstruct import DegreeLedger, nonexistence_certificate, obstruction_quadric
+from rncgeo.obstruct import (
+    DegreeLedger,
+    ObstructionCertificate,
+    nonexistence_certificate,
+    obstruction_quadric,
+)
 from rncgeo.projective import LinForm, Pencil, ProjPoint
 from rncgeo.quadrics import evaluate_poly, monomial_index, monomials
 from rncgeo.serialize import obstruction_in, obstruction_out
@@ -56,6 +61,21 @@ def test_nonexistence_certificate_concrete():
     assert cert.ledger.contradiction
     assert cert.verify()
     assert all(cert.contains_flags().values())
+
+
+def test_nonexistence_certificate_is_not_verified_again(monkeypatch):
+    # the quadric is a kernel vector of the rows `verify` would rebuild, so
+    # the certificate is returned unchecked; its document still recomputes
+    # every containment
+    def no_verify(self):
+        raise AssertionError("nonexistence_certificate re-verified its certificate")
+
+    monkeypatch.setattr(ObstructionCertificate, "verify", no_verify)
+    for n in (3, 4, 5):
+        datum, _ = random_datum(n, 4, n - 1, rng_from_seed(("no-selfcheck", n)))
+        doc = obstruction_out(nonexistence_certificate(datum))
+        assert len(doc["contains"]) == 5
+        assert all(doc["contains"].values())
 
 
 def test_obstruction_fails_on_special_datum():

@@ -34,6 +34,20 @@ def test_single_double_line_rows():
     assert hilbert_function(spec).actual_hf == 13
 
 
+def test_scheme_spec_refuses_repeated_entries():
+    # proportional coordinates are the same point
+    with pytest.raises(ValueError, match="double point is repeated"):
+        SchemeSpec(
+            n=3, degree=4, double_points=(ProjPoint([1, 2, 3, 4]), ProjPoint([2, 4, 6, 8]))
+        )
+    # the same span given by other forms is the same space
+    first = Pencil(LinForm([1, 1, 0, 3]), LinForm([0, 1, -1, 2]))
+    again = Pencil(LinForm([1, 2, -1, 5]), LinForm([0, 2, -2, 4]))
+    with pytest.raises(ValueError, match="double space is repeated"):
+        SchemeSpec(n=3, degree=4, double_spaces=(first, again))
+    SchemeSpec(n=3, degree=4, double_points=(ProjPoint([1, 2, 3, 4]), ProjPoint([1, 2, 3, 5])))
+
+
 def test_quartic_shape_row_count_n3():
     spec = quartic_shape_spec(3, seed=1)
     assert len(conditions_rows(spec)) == 33

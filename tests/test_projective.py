@@ -17,6 +17,7 @@ from rncgeo.projective import (
     standard_frame,
     unit_point,
 )
+from reference import frame_map_by_two_inverses
 
 
 def rand_transform(n, rng):
@@ -68,7 +69,26 @@ def test_frame_map_not_generic_dependent_head():
     ]
     with pytest.raises(NotGeneric) as err:
         frame_map(pts)
-    assert err.value.witness is not None
+    assert err.value.stage == "frame_map"
+    assert err.value.witness == tuple(pts[:4])
+
+
+def test_frame_map_equals_the_two_inverse_construction():
+    rng = random.Random("frame-rows")
+    for n in range(1, 10):
+        for _ in range(15):
+            points = []
+            while len(points) < n + 2:
+                coords = [QQ(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n + 1)]
+                if any(coords):
+                    points.append(ProjPoint(coords))
+            try:
+                expected = frame_map_by_two_inverses(points)
+            except ValueError:  # dependent head or a zero weight
+                with pytest.raises(NotGeneric):
+                    frame_map(points)
+                continue
+            assert frame_map(points).matrix == expected
 
 
 def test_frame_map_not_generic_last_point():

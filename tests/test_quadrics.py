@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction as QQ
 
+from rncgeo.errors import DegenerateSpan
 from rncgeo.generate import random_pencil, rng_from_seed
 from rncgeo.linalg import canonical_rowspace, ff_rank, nullspace
 from rncgeo.projective import LinForm, Pencil, ProjPoint
 from rncgeo.quadrics import (
-    _space_rows_cached,
     containment_rows,
     double_space_rows,
     evaluate_poly,
@@ -17,6 +17,7 @@ from rncgeo.quadrics import (
     point_value_row,
 )
 from rncgeo.scalars import integerize
+from reference import space_rows_by_inverse
 
 
 def test_quadric_monomial_order_p3():
@@ -136,10 +137,53 @@ def test_space_rows_are_primitive_integers():
         assert ff_rank(rows) == len(rows)
 
 
-def test_space_rows_cache_stays_small():
-    rng = rng_from_seed(43)
-    bound = _space_rows_cached.cache_info().maxsize
-    assert bound <= 16
-    for _ in range(40):
-        double_space_rows(random_pencil(5, rng), 4)
-    assert _space_rows_cached.cache_info().currsize <= bound
+# (n, d, order): containment at d = 2 and doubled spaces up to quartics
+ROW_GRID = [(3, 2, 1), (3, 4, 2), (4, 4, 2), (5, 4, 2), (6, 3, 2), (7, 2, 1), (9, 2, 1)]
+
+
+def unit(n, *terms):
+    """The linear form sum c x_j on P^n for the given (j, c) pairs."""
+    coeffs = [0] * (n + 1)
+    for j, c in terms:
+        coeffs[j] = c
+    return LinForm(coeffs)
+
+
+def sparse_pencils(n, rng):
+    """Pencils whose canonical stacks are sparse: a unit first row, zero
+    trailing columns, pivots away from columns 0 and 1, and random stacks
+    with two thirds of the coefficients zero."""
+    pencils = [
+        Pencil(unit(n, (0, 1)), unit(n, (1, 1))),  # {x0 = x1 = 0}
+        Pencil(unit(n, (1, 1)), unit(n, (2, 3), (n, -2))),  # unit first row
+        Pencil(unit(n, (0, 2), (1, 1)), unit(n, (1, 1), (2, -1))),  # m1 = 2 < n
+        Pencil(unit(n, (n - 1, 1)), unit(n, (n, 1))),  # pivots n-1, n
+        # column n-1 is proportional to m1 = n, so m0 = 1
+        Pencil(unit(n, (0, 1), (n - 1, 3), (n, 6)), unit(n, (1, 1))),
+        Pencil(unit(n, (0, 1), (1, 2), (2, 5)), unit(n, (0, 2), (1, 4), (3, 1))),  # pivots 0, 2
+    ]
+    while len(pencils) < 14:
+        forms = [
+            [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n + 1)] for _ in range(2)
+        ]
+        try:
+            pencils.append(Pencil(LinForm(forms[0]), LinForm(forms[1])))
+        except (ValueError, DegenerateSpan):  # a zero form, or dependent forms
+            continue
+    return pencils
+
+
+def test_space_rows_equal_the_inverse_route():
+    rng = rng_from_seed(47)
+    seen = {"unit first row": 0, "trailing zero columns": 0, "pivots off 0, 1": 0}
+    for n, d, order in ROW_GRID:
+        pencils = [random_pencil(n, rng) for _ in range(6)] + sparse_pencils(n, rng)
+        make = containment_rows if order == 1 else double_space_rows
+        for pencil in pencils:
+            assert make(pencil, d) == space_rows_by_inverse(pencil, d, order), pencil
+            z0, z1 = pencil.canonical
+            pivots = [next(j for j, x in enumerate(z) if x) for z in (z0, z1)]
+            seen["unit first row"] += sum(map(bool, z0)) == 1
+            seen["trailing zero columns"] += not (z0[n] or z1[n])
+            seen["pivots off 0, 1"] += pivots != [0, 1]
+    assert min(seen.values()) >= 3 * len(ROW_GRID), seen

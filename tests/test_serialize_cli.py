@@ -294,6 +294,25 @@ def test_cli_hilbert_rejects_oversized_specs(tmp_path, capsys, n, degree):
     assert json.loads(out)["error_class"] == "bad_dimension"
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"double_points": [[1, 2, 3, 4], [2, 4, 6, 8]]},
+        {"double_spaces": [{"forms": [[1, 1, 0, 3], [0, 1, -1, 2]]},
+                           {"forms": [[1, 2, -1, 5], [0, 2, -2, 4]]}]},
+    ],
+)
+def test_cli_hilbert_rejects_repeated_entries(tmp_path, capsys, entries):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"version": 1, "kind": "scheme_spec", "n": 3, "degree": 4,
+                                **entries}))
+    code, out = run_cli(capsys, "hilbert", str(path))
+    assert code == 13
+    doc = json.loads(out)
+    assert doc["error_class"] == "parse_error"
+    assert "repeated" in doc["message"]
+
+
 def test_cli_hilbert_below_the_cap(tmp_path, capsys):
     code, out = run_cli(capsys, "hilbert", str(write_spec(tmp_path, 4, 12)))
     assert code == 0
