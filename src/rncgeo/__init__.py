@@ -63,7 +63,7 @@ from .errors import (
     ZeroForm,
     ZeroParameter,
 )
-from .linalg import Matrix, canonical_rowspace, ff_rank, linsolve, nullspace
+from .linalg import Matrix, canonical_rowspace, ff_rank, nullspace
 from .obstruct import (
     DegreeLedger,
     ObstructionCertificate,

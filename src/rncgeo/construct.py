@@ -8,9 +8,10 @@ it to a parametrization and verifies the datum exactly:
   frame; the curve through the frame and (q_0 : ... : q_n) has coordinate
   forms q_i * prod_{j != i} (q_j s + u)); a degree-n Cremona pullback gives
   an independent second route.
-* n+2 points + one space: the space of quadrics through everything has
-  dimension exactly n-1; splitting each basis quadric as f A + g B along
-  the pencil (f, g) fills the matrix columns.
+* n+2 points + one space: the quadrics through the space are f A + g B
+  for the pencil (f, g), so the (n-1)-dimensional system through the
+  points is one kernel in the unknowns (A, B), and each solution gives a
+  matrix column (-B, A).
 * 3 points + n spaces: column i is the pair of pencil-i members through
   the first resp. second point, scaled to agree at the third.
 * 2 points + n+1 spaces: columns anchored as above on the first n spaces;
@@ -28,6 +29,7 @@ NotGeneric with the stage and a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Sequence
 
 from .curves import (
@@ -61,14 +63,8 @@ from .projective import (
     unit_point,
 )
 from .binforms import BinaryForm, binary_gcd
-from .quadrics import (
-    containment_rows,
-    linform_product_vector,
-    monomial_index,
-    monomials,
-    point_value_row,
-)
-from .scalars import QQ
+from .quadrics import linform_product_vector, monomial_index, monomials
+from .scalars import QQ, clear_denominators, integerize
 
 
 class Datum:
@@ -386,10 +382,17 @@ def construct_np2_one_space(
 ) -> ExistenceCertificate:
     """Unique curve through n+2 points and (n-1)-secant to one space.
 
-    Quadrics through the space and the points form an (n-1)-dimensional
-    system whose base locus is the space plus the curve; writing each basis
-    quadric as f A + g B turns the system into the columns of a 2 x n
-    matrix with first column (f, g)."""
+    The quadrics through the space are f A + g B for its canonical forms
+    (f, g), with (A, B) unique once B_m = 0 (m the last nonzero column of
+    f).  Those through the points, the kernel of one row f(p) p | g(p) p
+    per point, form an (n-1)-dimensional system whose base locus is the
+    space plus the curve; each (A, B) gives a column (-B, A) of a 2 x n
+    matrix with first column (f, g).  The columns follow the basis
+    `nullspace` gives the quadrics (1 at one free monomial, 0 at the
+    others), which reversed in the monomial order is the RREF of the
+    reversed quadrics: one `canonical_rowspace` of
+    [reversed f A + g B | A | B] carries (A, B) into it.
+    """
     n = space.n
     if len(points) != n + 2:
         raise DimensionMismatch(f"need {n + 2} points, got {len(points)}")
@@ -399,10 +402,13 @@ def construct_np2_one_space(
             raise NotGeneric(
                 "a datum point lies on the space", stage="np2:datum", witness=p
             )
-    monos = monomials(n, 2)
-    rows = containment_rows(space, 2)
+    f, g = space.canonical_forms()
+    m = max(j for j, c in enumerate(f.coeffs) if c)
+    rows = []
     for p in points:
-        rows.append(point_value_row(p, monos))
+        x = integerize(p.coords)
+        fx, gx = (sum(map(mul, form.coeffs, x)) for form in (f, g))
+        rows.append([fx * c for c in x] + [gx * c for j, c in enumerate(x) if j != m])
     kernel = nullspace(rows)
     if len(kernel) != n - 1:
         raise NotGeneric(
@@ -410,35 +416,23 @@ def construct_np2_one_space(
             stage="np2:quadric_dimension",
             witness=len(kernel),
         )
-    f, g = space.canonical_forms()
-    idx = monomial_index(monos)
-    basis_products = []
-    for lead in (f, g):
-        for j in range(n + 1):
-            unit = [0] * (n + 1)
-            unit[j] = 1
-            basis_products.append(linform_product_vector(lead, LinForm(unit), idx))
-    # One kernel of [products | -quadrics] splits every quadric.  The
-    # products f x_j, g x_j have the single relation (g, -f), so their
-    # columns hold 2n + 1 pivots and one free column, whose basis vector
-    # (the relation) comes first.  Every kernel quadric contains the space,
-    # so it lies in f S1 + g S1 and its column is free: the basis vector of
-    # quadric column k is 1 there and 0 at the other free columns, and its
-    # first 2(n + 1) entries are the solution of products . w = quadric
-    # with the free product variable 0.  Hence exactly len(kernel) + 1
-    # vectors come back and the branch below cannot be reached.
-    columns = basis_products + [[-c for c in quad] for quad in kernel]
-    split = nullspace([list(row) for row in zip(*columns)])
-    if len(split) != len(kernel) + 1:
-        raise NotGeneric(
-            "quadric does not split along the pencil",
-            stage="np2:decomposition",
-            witness=len(split),
+    # rows D [reversed f A + g B | A | B], in integers: D f, D g and a
+    # positive multiple of each kernel vector
+    fg, scale = clear_denominators(f.coeffs + g.coeffs)
+    idx = monomial_index(monomials(n, 2))
+    stack = []
+    for w in kernel:
+        split = integerize(w[: n + 1 + m] + [0] + w[n + 1 + m:])
+        quad = map(
+            add,
+            linform_product_vector(fg[: n + 1], split[: n + 1], idx),
+            linform_product_vector(fg[n + 1:], split[n + 1:], idx),
         )
+        stack.append(list(quad)[::-1] + [scale * c for c in split])
     top: list[LinForm] = [f]
     bottom: list[LinForm] = [g]
-    for w in split[1:]:
-        a_coeffs, b_coeffs = w[: n + 1], w[n + 1: 2 * (n + 1)]
+    for row in reversed(canonical_rowspace(stack)):
+        a_coeffs, b_coeffs = row[-2 * (n + 1): -(n + 1)], row[-(n + 1):]
         if not any(a_coeffs) or not any(b_coeffs):
             raise NotGeneric(
                 "degenerate quadric decomposition", stage="np2:decomposition"
@@ -484,16 +478,6 @@ def construct_three_points(
 # -- (2, n+1) -----------------------------------------------------------------
 
 
-def _span_membership_kernel(forms: Sequence[LinForm], pencil: Pencil) -> list:
-    """Kernel of the conditions 'sum_i k_i forms[i] lies in the pencil'."""
-    rows = []
-    for w in pencil.span_conditions():
-        rows.append(
-            [sum((wi * ci for wi, ci in zip(w, form.coeffs)), QQ(0)) for form in forms]
-        )
-    return nullspace(rows)
-
-
 def construct_two_points(
     points: Sequence[ProjPoint], spaces: Sequence[Pencil]
 ) -> ExistenceCertificate:
@@ -515,14 +499,14 @@ def construct_two_points(
         h2, _ = pencil.member_through(p2)
         h_first.append(h1)
         h_second.append(h2)
-    k_kernel = _span_membership_kernel(h_first, extra)
+    k_kernel = nullspace(extra.membership_rows([h.coeffs for h in h_first]))
     if len(k_kernel) != 1:
         raise NotGeneric(
             f"first-row kernel has dimension {len(k_kernel)}, expected 1",
             stage="two_points:kernel",
             witness=len(k_kernel),
         )
-    m_kernel = _span_membership_kernel(h_second, extra)
+    m_kernel = nullspace(extra.membership_rows([h.coeffs for h in h_second]))
     if len(m_kernel) != 1:
         raise NotGeneric(
             f"second-row kernel has dimension {len(m_kernel)}, expected 1",
@@ -538,11 +522,7 @@ def construct_two_points(
     bottom = [LinForm([m * c for c in h.coeffs]) for m, h in zip(m_vec, h_second)]
     combo_top = [sum(col, QQ(0)) for col in zip(*(f.coeffs for f in top))]
     combo_bottom = [sum(col, QQ(0)) for col in zip(*(f.coeffs for f in bottom))]
-    if (
-        not any(combo_top)
-        or not any(combo_bottom)
-        or canonical_rowspace([combo_top, combo_bottom]) != extra.canonical
-    ):
+    if not extra.spanned_by(combo_top, combo_bottom):
         raise NotGeneric(
             "recovered combinations do not span the last space",
             stage="two_points:span",
@@ -579,21 +559,16 @@ def construct_one_point(
         pencil_bases.append(pencil.canonical_forms())
     condition_rows = []
     for extra in extras:
-        e_kernel = _span_membership_kernel(tops, extra)
+        e_kernel = nullspace(extra.membership_rows([h.coeffs for h in tops]))
         if len(e_kernel) != 1:
             raise NotGeneric(
                 f"top-row kernel has dimension {len(e_kernel)}, expected 1",
                 stage="one_point:row_kernel",
                 witness=len(e_kernel),
             )
-        e_vec = e_kernel[0]
-        for w in extra.span_conditions():
-            row = []
-            for i, (f_i, g_i) in enumerate(pencil_bases):
-                wf = sum((wi * ci for wi, ci in zip(w, f_i.coeffs)), QQ(0))
-                wg = sum((wi * ci for wi, ci in zip(w, g_i.coeffs)), QQ(0))
-                row.extend([e_vec[i] * wf, e_vec[i] * wg])
-            condition_rows.append(row)
+        scales = [e for e in e_kernel[0] for _ in range(2)]
+        for row in extra.membership_rows([h.coeffs for pair in pencil_bases for h in pair]):
+            condition_rows.append(list(map(mul, scales, row)))
     solutions = nullspace(condition_rows)
     if len(solutions) != 2:
         raise NotGeneric(

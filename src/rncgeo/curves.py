@@ -45,7 +45,6 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    canonical_rowspace,
     ff_rank,
     nullspace,
     signed_maximal_minors,
@@ -369,42 +368,24 @@ def generalized_column_for(det: DetRnc, pencil: Pencil) -> list[QQ] | None:
     """
     if pencil.n != det.n:
         raise DimensionMismatch("pencil and matrix dimensions differ")
-    n = det.n
-    conditions = pencil.span_conditions()
-    rows = []
-    for w in conditions:
-        for matrix_row in det.m:
-            rows.append(
-                [
-                    sum((wi * ci for wi, ci in zip(w, matrix_row[j].coeffs)), QQ(0))
-                    for j in range(n)
-                ]
-            )
-    kernel = nullspace(rows)
-    if not kernel:
-        return None
+    rows = [[form.coeffs for form in row] for row in det.m]
+    kernel = nullspace(pencil.membership_rows(rows[0]) + pencil.membership_rows(rows[1]))
     # Both combinations lie in the pencil, so lambda works exactly when
     # Q(lambda) != 0, Q being the determinant of their coordinates in the
-    # pencil basis: a quadratic form on the kernel.  If Q vanishes at every
-    # k_i and every k_i + k_j, polarization gives B(k_i, k_j) = 0 for all
-    # i, j, so Q vanishes identically and no lambda works.
+    # pencil basis (`Pencil.spanned_by`): a quadratic form on the kernel.
+    # If Q vanishes at every k_i and every k_i + k_j, polarization gives
+    # B(k_i, k_j) = 0 for all i, j, so Q vanishes identically and no
+    # lambda works.
     candidates = list(kernel)
     for i in range(len(kernel)):
         for j in range(i + 1, len(kernel)):
             candidates.append([a + b for a, b in zip(kernel[i], kernel[j])])
-    top, bottom = det.m
     for lam in candidates:
-        combo_top = [
-            sum((lam[j] * top[j].coeffs[i] for j in range(n)), QQ(0))
-            for i in range(n + 1)
-        ]
-        combo_bottom = [
-            sum((lam[j] * bottom[j].coeffs[i] for j in range(n)), QQ(0))
-            for i in range(n + 1)
-        ]
-        if not any(combo_top) or not any(combo_bottom):
-            continue
-        if canonical_rowspace([combo_top, combo_bottom]) == pencil.canonical:
+        top, bottom = (
+            [sum((x * h[i] for x, h in zip(lam, row)), QQ(0)) for i in range(det.n + 1)]
+            for row in rows
+        )
+        if pencil.spanned_by(top, bottom):
             return lam
     return None
 

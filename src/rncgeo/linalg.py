@@ -5,7 +5,7 @@ scale matters, `scalars.clear_denominators`).  Determinants use one
 fraction-free (Bareiss) forward pass: every intermediate entry is a minor
 of the integer matrix, so there is no coefficient explosion beyond what
 the minors themselves require and no division error anywhere.
-Kernels and solves use integer cross-elimination with content reduction,
+Kernels use integer cross-elimination with content reduction,
 rationalizing only in the final normalization pass.
 All n + 1 signed maximal minors of an n x (n+1) integer matrix come from
 one Bareiss forward pass and one exact back substitution.
@@ -476,28 +476,6 @@ def nullspace(m) -> list[Vector]:
             vec[c] = -rref_rows[r][f]
         basis.append(vec)
     return basis
-
-
-def linsolve(m, b) -> Vector | None:
-    """One exact solution of m x = b, or None if inconsistent.
-
-    Free variables are set to zero, making the answer deterministic.
-    """
-    raw = list(getattr(m, "entries", m))
-    bvec = [QQ(x) for x in b]
-    if len(raw) != len(bvec):
-        raise ValueError("shape mismatch")
-    if not raw:
-        return []
-    ncols = len(raw[0])
-    aug = _int_rows([*row, rhs] for row, rhs in zip(raw, bvec))
-    rref_rows, pivots = _rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    sol = [QQ(0)] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = rref_rows[r][ncols]
-    return sol
 
 
 def canonical_rowspace(rows) -> tuple:

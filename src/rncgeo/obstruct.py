@@ -17,6 +17,7 @@ ledger; the final Bezout inference is arithmetic on that ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import BadShape, NotGeneric, ObstructionFails
 from .linalg import nullspace
@@ -27,7 +28,7 @@ from .quadrics import (
     monomials,
     point_value_row,
 )
-from .scalars import QQ
+from .scalars import QQ, integerize
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,16 @@ class ObstructionCertificate:
     ledger: DegreeLedger
 
     def contains_flags(self) -> dict:
-        """Exact re-verification of every checkable claim."""
+        """Exact re-verification of every checkable claim.  The quadric is
+        integerized once (a positive rescaling, which keeps every zero), so
+        the containments are integer dot products with the primitive
+        containment rows."""
         monos = monomials(self.n, 2)
+        quad = integerize(self.quadric)
         flags = {}
         for k, pencil in enumerate(self.spaces):
-            rows = containment_rows(pencil, 2)
-            flags[f"space_{k}"] = all(
-                sum((r * q for r, q in zip(row, self.quadric)), QQ(0)) == 0
-                for row in rows
+            flags[f"space_{k}"] = not any(
+                sum(map(mul, row, quad)) for row in containment_rows(pencil, 2)
             )
         for k, point in enumerate(self.points):
             flags[f"point_{k}"] = evaluate_poly(self.quadric, monos, point) == 0

@@ -4,8 +4,9 @@ of projective n-space.
 Codimension-two spaces are stored as a pair of independent linear forms plus
 the reduced row echelon form of their coefficient stack; the RREF stack is
 the identity of the pencil, so equality of spans is decidable exactly and
-pencils are hashable.  Points are canonicalized so the first nonzero
-coordinate is 1.
+pencils are hashable.  Every linear condition a pencil imposes (membership
+of a form, spanning by two members) is read off that stack in closed form.
+Points are canonicalized so the first nonzero coordinate is 1.
 
 Genericity is never assumed: anything that needs a rank condition checks it
 and raises NotGeneric with the failing witness.
@@ -112,7 +113,7 @@ class Pencil:
 
     def contains_form(self, form: LinForm) -> bool:
         """Whether a hyperplane belongs to the span of the pencil forms."""
-        return canonical_rowspace(list(self.canonical) + [form.coeffs]) == self.canonical
+        return not any(row[0] for row in self.membership_rows([form.coeffs]))
 
     def member_through(self, p: ProjPoint) -> tuple[LinForm, tuple[QQ, QQ]]:
         """The member of the pencil vanishing at p, with its coordinates
@@ -127,10 +128,40 @@ class Pencil:
         coeffs = [a * x + b * y for x, y in zip(f.coeffs, g.coeffs)]
         return LinForm(coeffs), (a, b)
 
+    def _pivots(self) -> tuple[int, int]:
+        """The pivot columns c0 < c1 of the canonical stack Z; a member h
+        of the pencil is h[c0] Z[0] + h[c1] Z[1]."""
+        z0, z1 = self.canonical
+        return next(j for j, x in enumerate(z0) if x), next(j for j, x in enumerate(z1) if x)
+
     def span_conditions(self) -> list[list[QQ]]:
         """Vectors w such that a form h lies in the span iff w . h = 0 for
-        every w (the dot-product complement of the coefficient stack)."""
-        return nullspace(list(self.canonical))
+        every w: the membership rows of the unit vectors, which are the
+        canonical `nullspace` basis of the stack."""
+        n1 = self.n + 1
+        return self.membership_rows([[int(k == j) for j in range(n1)] for k in range(n1)])
+
+    def membership_rows(self, forms: Sequence[Sequence]) -> list[list[QQ]]:
+        """The conditions 'sum_i k_i forms[i] lies in the span' on k, for
+        forms given by coefficient vectors: one row per column j off the
+        pivots, with entries h[j] - Z[0][j] h[c0] - Z[1][j] h[c1] for
+        h = forms[i].  Each row is a functional of h vanishing on Z[0] and
+        Z[1]; on the unit vectors off the pivots the rows are the identity,
+        so they are independent and cut out exactly the span."""
+        c0, c1 = self._pivots()
+        z0, z1 = self.canonical
+        return [
+            [h[j] - z0[j] * h[c0] - z1[j] * h[c1] for h in forms]
+            for j in range(self.n + 1)
+            if j != c0 and j != c1
+        ]
+
+    def spanned_by(self, a: Sequence, b: Sequence) -> bool:
+        """Whether two members of the pencil (coefficient vectors) span it:
+        their coordinates in the canonical basis are their entries at the
+        pivots, so they span iff that 2 x 2 determinant is nonzero."""
+        c0, c1 = self._pivots()
+        return a[c0] * b[c1] != a[c1] * b[c0]
 
 
 class ProjTransform:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb, prod
+from typing import Sequence
 
-from .projective import LinForm, Pencil, ProjPoint
+from .projective import Pencil, ProjPoint
 from .scalars import QQ, integerize
 
 Expt = tuple  # exponent tuple, length n+1
@@ -162,16 +163,15 @@ def double_space_rows(pencil: Pencil, d: int) -> list[list[int]]:
     return space_condition_rows(pencil, d, order=2)
 
 
-def linform_product_vector(a: LinForm, b: LinForm, index: dict[Expt, int]) -> list[QQ]:
-    """Coefficient vector of the quadric a*b on the degree-2 monomial basis."""
-    nvars = a.n + 1
-    out = [QQ(0)] * len(index)
-    for i in range(nvars):
-        ai = a.coeffs[i]
+def linform_product_vector(a: Sequence, b: Sequence, index: dict[Expt, int]) -> list[QQ]:
+    """Coefficient vector of the quadric a*b on the degree-2 monomial basis,
+    for linear forms a, b given by their coefficient vectors."""
+    nvars = len(a)
+    out = [0] * len(index)
+    for i, ai in enumerate(a):
         if not ai:
             continue
-        for j in range(nvars):
-            bj = b.coeffs[j]
+        for j, bj in enumerate(b):
             if not bj:
                 continue
             key = tuple(

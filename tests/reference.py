@@ -4,8 +4,14 @@
 quadrics through two curves.  The library decides it by restriction
 (`curves._matrix_defines`) without elimination; tests compare the two.
 
-`np2_matrix_by_linsolve` splits each quadric of the (n+2, 1) system with
-its own `linsolve`; the library splits them all with one kernel.
+`np2_matrix_by_linsolve` takes the (n+2, 1) quadric system as a kernel on
+all quadric monomials and splits each quadric with its own `linsolve`;
+the library solves for the splits directly with one small kernel.
+
+`span_membership_kernel` and `generalized_column_kernel` take the kernels
+of the conditions "a combination lies in a pencil" from dot products with
+`nullspace(pencil.canonical)`; `spans_by_rowspace` and `contains_by_rowspace`
+compare row spaces.  The library reads all of these off the canonical stack.
 
 `space_rows_by_inverse` builds the condition rows along a codimension-two
 space by completing the canonical stack to an invertible matrix with rank
@@ -17,7 +23,14 @@ the rescaled matrix; the library divides the rows of the one inverse.
 """
 
 from rncgeo.curves import DetRnc, ParamRnc
-from rncgeo.linalg import Matrix, canonical_rowspace, ff_rank, linsolve, nullspace
+from rncgeo.linalg import (
+    Matrix,
+    _int_rows,
+    _rref,
+    canonical_rowspace,
+    ff_rank,
+    nullspace,
+)
 from rncgeo.projective import LinForm
 from rncgeo.quadrics import (
     containment_rows,
@@ -88,24 +101,89 @@ def quadric_space(curve) -> tuple:
     raise TypeError(f"not a curve: {type(curve).__name__}")
 
 
+def linsolve(m, b) -> list | None:
+    """One exact solution of m x = b, or None if inconsistent.
+
+    Free variables are set to zero, making the answer deterministic.
+    """
+    raw = list(getattr(m, "entries", m))
+    bvec = [QQ(x) for x in b]
+    if len(raw) != len(bvec):
+        raise ValueError("shape mismatch")
+    if not raw:
+        return []
+    ncols = len(raw[0])
+    aug = _int_rows([*row, rhs] for row, rhs in zip(raw, bvec))
+    rref_rows, pivots = _rref(aug, ncols + 1)
+    if ncols in pivots:
+        return None
+    sol = [QQ(0)] * ncols
+    for r, c in enumerate(pivots):
+        sol[c] = rref_rows[r][ncols]
+    return sol
+
+
+def span_membership_kernel(forms, pencil) -> list:
+    """Kernel of 'sum_i k_i forms[i] lies in the pencil' (LinForms), with
+    one condition row per vector of `nullspace(pencil.canonical)`."""
+    rows = []
+    for w in nullspace(list(pencil.canonical)):
+        rows.append(
+            [sum((wi * ci for wi, ci in zip(w, form.coeffs)), QQ(0)) for form in forms]
+        )
+    return nullspace(rows)
+
+
+def generalized_column_kernel(det, pencil) -> list:
+    """Kernel of 'both rows of det combined by lambda lie in the pencil',
+    interleaving the two rows' conditions per complement vector."""
+    rows = []
+    for w in nullspace(list(pencil.canonical)):
+        for matrix_row in det.m:
+            rows.append(
+                [
+                    sum((wi * ci for wi, ci in zip(w, form.coeffs)), QQ(0))
+                    for form in matrix_row
+                ]
+            )
+    return nullspace(rows)
+
+
+def spans_by_rowspace(pencil, a, b) -> bool:
+    """Whether two coefficient vectors span exactly the pencil."""
+    return any(a) and any(b) and canonical_rowspace([a, b]) == pencil.canonical
+
+
+def contains_by_rowspace(pencil, form) -> bool:
+    """Whether adding the form leaves the pencil's row space unchanged."""
+    return canonical_rowspace(list(pencil.canonical) + [form.coeffs]) == pencil.canonical
+
+
+def quadric_kernel(points, space) -> list:
+    """The canonical kernel of the quadric conditions of the (n+2, 1)
+    datum: containment of the space and vanishing at the points."""
+    monos = monomials(space.n, 2)
+    rows = containment_rows(space, 2)
+    rows += [point_value_row(p, monos) for p in points]
+    return nullspace(rows)
+
+
 def np2_matrix_by_linsolve(points, space) -> DetRnc:
     """The matrix of `construct_np2_one_space` for the datum: column 1 is
     the pencil (f, g), and every other column (-B, A) comes from a basis
-    quadric written as f A + g B by `linsolve` (free variables zero)."""
+    quadric of `quadric_kernel` written as f A + g B by `linsolve` (free
+    variables zero)."""
     n = space.n
-    monos = monomials(n, 2)
-    rows = containment_rows(space, 2)
-    rows += [point_value_row(p, monos) for p in points]
     f, g = space.canonical_forms()
-    idx = monomial_index(monos)
+    idx = monomial_index(monomials(n, 2))
     products = [
-        linform_product_vector(lead, LinForm([int(k == j) for k in range(n + 1)]), idx)
+        linform_product_vector(lead.coeffs, [int(k == j) for k in range(n + 1)], idx)
         for lead in (f, g)
         for j in range(n + 1)
     ]
     matrix = [list(row) for row in zip(*products)]
     top, bottom = [f], [g]
-    for quad in nullspace(rows):
+    for quad in quadric_kernel(points, space):
         w = linsolve(matrix, quad)
         top.append(LinForm([-c for c in w[n + 1:]]))
         bottom.append(LinForm(w[: n + 1]))

@@ -20,9 +20,11 @@ from rncgeo.construct import (
     expected_count,
     special_datum,
 )
+import rncgeo.quadrics as quadrics_module
 from rncgeo.curves import (
     chord_space,
     curve_equals,
+    generalized_column_for,
     moment_curve,
     point_at,
     verify_datum,
@@ -46,7 +48,13 @@ from rncgeo.projective import (
     standard_frame,
 )
 
-from reference import np2_matrix_by_linsolve
+from rncgeo.linalg import nullspace
+from reference import (
+    generalized_column_kernel,
+    np2_matrix_by_linsolve,
+    quadric_kernel,
+    span_membership_kernel,
+)
 
 
 def moment_points(n, ts):
@@ -473,8 +481,9 @@ def test_constructors_reject_mixed_dimensions():
 
 
 def test_np2_splits_every_quadric_with_one_kernel(monkeypatch):
-    # the matrix is the one per-quadric `linsolve` builds, and the two
-    # kernels are the quadric system and its split
+    # one small kernel solves for the splits f A + g B directly: no
+    # containment rows, and the matrix is the one that per-quadric
+    # `linsolve` builds from the kernel on all quadric monomials
     module = sys.modules["rncgeo.construct"]
     original = module.nullspace
     calls = []
@@ -483,10 +492,64 @@ def test_np2_splits_every_quadric_with_one_kernel(monkeypatch):
         calls.append(1)
         return original(m)
 
-    monkeypatch.setattr(module, "nullspace", counting)
-    for n in (7, 8, 9):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the splits need no containment rows")
+
+    assert not hasattr(module, "containment_rows")
+    for n in range(3, 10):
         datum, _ = forward_datum(n, n + 2, 1, rng_from_seed(("np2-split", n)))
-        calls.clear()
-        cert = construct_np2_one_space(datum.points, datum.spaces[0])
-        assert len(calls) == 2, n
-        assert cert.det == np2_matrix_by_linsolve(datum.points, datum.spaces[0]), n
+        expected = np2_matrix_by_linsolve(datum.points, datum.spaces[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "nullspace", counting)
+            patch.setattr(quadrics_module, "containment_rows", forbidden)
+            patch.setattr(quadrics_module, "space_condition_rows", forbidden)
+            calls.clear()
+            cert = construct_np2_one_space(datum.points, datum.spaces[0])
+        assert len(calls) == 1, n
+        assert cert.det == expected, n
+
+
+def test_np2_special_quadric_system_keeps_its_witness():
+    # the space and n+1 points in {x0 = 0}: the quadrics x0 L with L(p) = 0
+    # at the last point give an n-dimensional system, by both routes
+    rng = random.Random("np2-hyperplane")
+    for n in range(3, 7):
+        x0 = LinForm([1] + [0] * n)
+        space = Pencil(x0, LinForm([0] + [rng.randint(1, 5) for _ in range(n)]))
+        points = []
+        while len(points) < n + 1:
+            p = ProjPoint([0] + [rng.randint(-5, 5) for _ in range(n)])
+            if not space.contains_point(p) and p not in points:
+                points.append(p)
+        points.append(ProjPoint([1] + [rng.randint(-5, 5) for _ in range(n)]))
+        assert len(quadric_kernel(points, space)) == n
+        with pytest.raises(NotGeneric) as info:
+            construct_np2_one_space(points, space)
+        assert info.value.stage == "np2:quadric_dimension"
+        assert info.value.witness == n
+
+
+def test_spanning_tests_read_the_canonical_stack(monkeypatch):
+    # the (2, n+1) spanning check and `generalized_column_for` use
+    # `Pencil.spanned_by`; their kernels match the dot-product loops
+    module = sys.modules["rncgeo.construct"]
+    curves_module = sys.modules["rncgeo.curves"]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spanning is a 2 x 2 determinant")
+
+    assert not hasattr(curves_module, "canonical_rowspace")
+    for n in range(3, 8):
+        datum, _ = forward_datum(n, 2, n + 1, rng_from_seed(("spanning", n)))
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "canonical_rowspace", forbidden)
+            cert = construct_two_points(datum.points, datum.spaces)
+        top, bottom = ([form.coeffs for form in row] for row in cert.det.m)
+        for pencil in datum.spaces:
+            kernel = nullspace(pencil.membership_rows(top) + pencil.membership_rows(bottom))
+            assert kernel == generalized_column_kernel(cert.det, pencil), n
+            assert generalized_column_for(cert.det, pencil) is not None, n
+        extra = datum.spaces[n]
+        first = [h for h, _ in (s.member_through(datum.points[0]) for s in datum.spaces[:n])]
+        kernel = nullspace(extra.membership_rows([h.coeffs for h in first]))
+        assert kernel == span_membership_kernel(first, extra), n

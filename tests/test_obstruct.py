@@ -13,7 +13,7 @@ from rncgeo.obstruct import (
     obstruction_quadric,
 )
 from rncgeo.projective import LinForm, Pencil, ProjPoint
-from rncgeo.quadrics import evaluate_poly, monomial_index, monomials
+from rncgeo.quadrics import containment_rows, evaluate_poly, monomial_index, monomials
 from rncgeo.serialize import obstruction_in, obstruction_out
 
 L1 = Pencil(LinForm([1, 0, 0, 0]), LinForm([0, 1, 0, 0]))
@@ -148,3 +148,34 @@ def test_tampered_ledger_document_fails():
     assert obstruction_in(doc).verify()
     doc["ledger"] = {"intersection_lower_bound": 1, "bezout_bound": 0}
     assert not obstruction_in(doc).verify()
+
+
+def fraction_flags(cert):
+    """The flags by `Fraction` evaluation of every containment row."""
+    monos = monomials(cert.n, 2)
+    flags = {}
+    for k, pencil in enumerate(cert.spaces):
+        flags[f"space_{k}"] = all(
+            sum((r * q for r, q in zip(row, cert.quadric)), QQ(0)) == 0
+            for row in containment_rows(pencil, 2)
+        )
+    for k, point in enumerate(cert.points):
+        flags[f"point_{k}"] = evaluate_poly(cert.quadric, monos, point) == 0
+    return flags
+
+
+def test_integer_flags_match_fraction_evaluation():
+    rng = rng_from_seed("integer-flags")
+    for n, p, l in ((3, 4, 2), (5, 5, 3), (7, 4, 6)):
+        datum, _ = random_datum(n, p, l, rng)
+        cert = nonexistence_certificate(datum)
+        assert cert.contains_flags() == fraction_flags(cert)
+        assert all(cert.contains_flags().values())
+        for k in (0, len(cert.quadric) // 2, len(cert.quadric) - 1):
+            quadric = list(cert.quadric)
+            quadric[k] += QQ(1, 3)
+            tampered = replace(cert, quadric=tuple(quadric))
+            flags = tampered.contains_flags()
+            assert flags == fraction_flags(tampered), (n, k)
+            assert not all(flags.values()), (n, k)
+            assert not tampered.verify()

@@ -3,8 +3,10 @@ from fractions import Fraction as QQ
 
 import pytest
 
+import rncgeo.linalg as linalg_module
+import rncgeo.projective as projective_module
 from rncgeo.errors import DegenerateSpan, DimensionMismatch, NotGeneric
-from rncgeo.linalg import Matrix
+from rncgeo.linalg import Matrix, nullspace
 from rncgeo.projective import (
     LinForm,
     Pencil,
@@ -17,7 +19,12 @@ from rncgeo.projective import (
     standard_frame,
     unit_point,
 )
-from reference import frame_map_by_two_inverses
+from reference import (
+    contains_by_rowspace,
+    frame_map_by_two_inverses,
+    span_membership_kernel,
+    spans_by_rowspace,
+)
 
 
 def rand_transform(n, rng):
@@ -184,3 +191,106 @@ def test_dimension_mismatch():
 
 def test_unit_point():
     assert unit_point(3) == ProjPoint([1, 1, 1, 1])
+
+
+# -- conditions read off the canonical stack ------------------------------------
+
+
+def random_form(n, rng, zeros=()):
+    while True:
+        coeffs = [0 if j in zeros else rng.randint(-4, 4) for j in range(n + 1)]
+        if any(coeffs):
+            return LinForm(coeffs)
+
+
+def stack_pencils(n, rng):
+    """Random pencils, the pencils with pivots (0, 1) and (n-1, n), and
+    some with pivots off the first columns."""
+    unit = [LinForm([int(k == j) for k in range(n + 1)]) for j in range(n + 1)]
+    pencils = [Pencil(unit[0], unit[1]), Pencil(unit[n - 1], unit[n])]
+    pencils.append(Pencil(random_form(n, rng, zeros=(0,)), random_form(n, rng, zeros=(0, 1))))
+    while len(pencils) < 8:
+        try:
+            pencils.append(Pencil(random_form(n, rng), random_form(n, rng)))
+        except DegenerateSpan:
+            continue
+    return pencils
+
+
+def test_span_conditions_are_the_canonical_nullspace():
+    rng = random.Random("span-conditions")
+    for n in range(3, 9):
+        pivots = set()
+        for pencil in stack_pencils(n, rng):
+            assert pencil.span_conditions() == nullspace(list(pencil.canonical)), n
+            pivots.add(pencil._pivots())
+        assert {(0, 1), (n - 1, n)} <= pivots
+
+
+def test_membership_kernels_match_the_dot_product_loops():
+    rng = random.Random("membership")
+    for n in range(3, 9):
+        for pencil in stack_pencils(n, rng):
+            f, g = pencil.canonical_forms()
+            for size in (n - 1, n, n + 1):
+                forms = [random_form(n, rng) for _ in range(size)]
+                # a member of the span guarantees a nonzero kernel
+                forms[-1] = LinForm([2 * a - 3 * b for a, b in zip(f.coeffs, g.coeffs)])
+                kernel = nullspace(pencil.membership_rows([h.coeffs for h in forms]))
+                assert kernel == span_membership_kernel(forms, pencil), (n, size)
+                assert kernel
+            member, _ = pencil.member_through(ProjPoint([rng.randint(1, 5) for _ in range(n + 1)]))
+            for form in (member, f, g, random_form(n, rng), random_form(n, rng)):
+                assert pencil.contains_form(form) == contains_by_rowspace(pencil, form)
+            assert pencil.contains_form(member)
+
+
+def test_spanning_determinant_matches_the_rowspace_test():
+    rng = random.Random("spanning")
+    for n in range(3, 9):
+        for pencil in stack_pencils(n, rng):
+            f, g = (form.coeffs for form in pencil.canonical_forms())
+            for _ in range(6):
+                a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+                x = [a * u + b * v for u, v in zip(f, g)]
+                y = [c * u + d * v for u, v in zip(f, g)]
+                expected = spans_by_rowspace(pencil, x, y)
+                assert pencil.spanned_by(x, y) == expected
+                assert expected == (a * d != b * c)
+            # a dependent pair, and a zero member
+            x = [3 * u - v for u, v in zip(f, g)]
+            y = [-6 * u + 2 * v for u, v in zip(f, g)]
+            assert not pencil.spanned_by(x, y) and not spans_by_rowspace(pencil, x, y)
+            assert not pencil.spanned_by(x, [0] * (n + 1))
+
+
+def test_stack_readings_do_not_eliminate(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("read off the canonical stack, no elimination")
+
+    rng = random.Random("no-elimination")
+    cases = []
+    for pencil in stack_pencils(6, rng):
+        f, g = (form.coeffs for form in pencil.canonical_forms())
+        x = [u - 2 * v for u, v in zip(f, g)]
+        other = random_form(6, rng)
+        expected = (
+            nullspace(list(pencil.canonical)),
+            spans_by_rowspace(pencil, f, x),
+            spans_by_rowspace(pencil, x, [2 * c for c in x]),
+            contains_by_rowspace(pencil, LinForm(x)),
+            contains_by_rowspace(pencil, other),
+        )
+        cases.append((pencil, f, x, other, expected))
+    for module in (projective_module, linalg_module):
+        monkeypatch.setattr(module, "nullspace", forbidden)
+        monkeypatch.setattr(module, "canonical_rowspace", forbidden)
+    monkeypatch.setattr(linalg_module, "_rref", forbidden)
+    for pencil, f, x, other, expected in cases:
+        assert (
+            pencil.span_conditions(),
+            pencil.spanned_by(f, x),
+            pencil.spanned_by(x, [2 * c for c in x]),
+            pencil.contains_form(LinForm(x)),
+            pencil.contains_form(other),
+        ) == expected
