@@ -2,15 +2,21 @@
 
 Each entry pins the sha256 of `certificate_out(construct(datum))`, dumped
 with sorted keys, for forward data of all five existence shapes at
-n = 3..6 and two fixed seeds.  A change to any constructor, to the
-emitted matrix or parametrization, or to the report changes a digest.
+n = 3..6 and two fixed seeds, and at the benchmark's sizes n = 7..9.  A
+change to any constructor, to the emitted matrix or parametrization, or to
+the report changes a digest.
+
+The n = 7..9 data are built as the benchmark builds its forward data: one
+parameter pool of `max(30, count)` on each side of zero, then
+`point_at_param` and `chord_space`.
 """
 
 import hashlib
 import json
 
-from rncgeo.construct import construct
-from rncgeo.generate import forward_datum, rng_from_seed
+from rncgeo.construct import Datum, construct
+from rncgeo.curves import chord_space, point_at_param
+from rncgeo.generate import distinct_parameters, forward_datum, random_rnc, rng_from_seed
 from rncgeo.serialize import certificate_out
 
 SHAPES = {
@@ -64,17 +70,81 @@ GOLDEN = {
     "6:1,n+2:1": "10cc84bb855d533b4d8a17de663fdb942bc8fa8948c41bae09106cc46f6fa76d",
 }
 
+GOLDEN_LARGE = {
+    "7:n+3,0:0": "5d368563e86fe9b34804311095750494edb6c4e50683f4e32b8065db276f8b90",
+    "7:n+3,0:1": "fd41ef3251eae3ddb5a9f862c5d5205a83fc672092b7f089d27b6bac926428db",
+    "7:n+2,1:0": "0e42f01f5efec782b94fd353c9b750b49a893e2353a97a999611d0c10b1429d8",
+    "7:n+2,1:1": "5c854cd0a674d9a6f0c981654469c6a58cfe3dd91c90d603b6c1cefa71e22991",
+    "7:3,n:0": "63a93c0f617414401dd5110017efefe62eae41418a7831cb2a92e5940e145cb0",
+    "7:3,n:1": "5a7a24d878761cffacede6dbaf323c4ff261c6c6c9017e0044bcbb96b5d2a63e",
+    "7:2,n+1:0": "8e654acac31a69a0e51027e4e7e1454faff393f4e6a53f8858f34b55d775b3fc",
+    "7:2,n+1:1": "eec3d74e07a19d0ccedf6c08829edd4f8e9dd176194fd285a24ee2d001e7679e",
+    "7:1,n+2:0": "066fa0d42cc76e8fc3d6cb474f87b82e1a2349f4e209d83ab97f069e4e00c36c",
+    "7:1,n+2:1": "b9edb32420b920262f06ceef20fef26ecda052d7f5ac958164c750736d2b6017",
+    "8:n+3,0:0": "a10652a4ac4032945371b252280842155634693e5ec871ea5a990822feef31de",
+    "8:n+3,0:1": "96c362e40aa364c978454054b50ed8f24cdc5dce3645a6d02d9f29e02e95dd06",
+    "8:n+2,1:0": "d6c7f28dccc3d79d854d24c95a8e0dbf3913f502ebfaf9dd7670571b7c2e59a8",
+    "8:n+2,1:1": "054ae4c3cbe874162f4c1670c10ac84d691c7b201788fa564d51aea29dc6c2bd",
+    "8:3,n:0": "8650a69985fb9f127d0227c5e564622d7e12dc7d64362081d1527c86e486338b",
+    "8:3,n:1": "072c3c3aead778aaa5bfe7ea525a43c94ceca7d528486e9e2b69b1d409d69e41",
+    "8:2,n+1:0": "6b883d4af35496e8874f3ad7f2c5be22b2ffd01d792ffe35f728b7043f03a535",
+    "8:2,n+1:1": "c6e67c12911a8cb4640761a7f4ebba35cb8f9fcf48876e0f09734cb3be5d8cea",
+    "8:1,n+2:0": "9ea6b787679f839d1307b866c265045f1fe911dfedb74d06f45dfd327a2c6920",
+    "8:1,n+2:1": "f8315d7810b2dd59d1af3492aadf15c3b4d6a5469baf04f6033dcd171eda8805",
+    "9:n+3,0:0": "9dd0a34270ab81b48ca42dc07e6f3bf82c0c85bf9729b1508095295e8d148f06",
+    "9:n+3,0:1": "1de8b4dbf13911c379e532ae79562f13b35b14a988788fac6d9fabf5b4895f3d",
+    "9:n+2,1:0": "f64a207e34fad69ec31cf047bd44b852cfbe159b2a6b609d22e15a56cd3d3ee8",
+    "9:n+2,1:1": "2e74cbb4c2abbc229218d8d1e000131d0d678be1abae8d8c9d0899dc41554926",
+    "9:3,n:0": "1dc9947ad32a4482b64f7babdf3467f5da0d73ba81789f103f23409889754be5",
+    "9:3,n:1": "30d2110b1f442dd10cabdd49d7a02d45503a061c22e2bf5dae5154f762f6556a",
+    "9:2,n+1:0": "5cdf4ce8ca98fad64f46839f2c07da9034b8abafc8ada328c35a5a0d4571184b",
+    "9:2,n+1:1": "79dc11de2a1836b0e26c4a0995047d45377fc31cc67606c07d6852435c0fb3f9",
+    "9:1,n+2:0": "b3bd83a9c6450b241d04123a8636ac7c1837291227276a9d7369469e90d008b5",
+    "9:1,n+2:1": "003527b68a8068381c4885243c67ee7233ed998d5d10e40bdee47b49eea88bae",
+}
+
+
+def bench_sized_datum(n, p, l, rng):
+    curve = random_rnc(n, rng)
+    count = p + l * (n - 1)
+    params = distinct_parameters(count, rng, bound=max(30, count))
+    points = [point_at_param(curve, t) for t in params[:p]]
+    spaces = [
+        chord_space(curve, params[p + k * (n - 1): p + (k + 1) * (n - 1)])
+        for k in range(l)
+    ]
+    return Datum(n=n, spaces=tuple(spaces), points=tuple(points))
+
+
+def digest(cert):
+    doc = certificate_out(cert)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
 
 def certificate_digest(key):
     n, tag, seed = key.split(":")
     n = int(n)
     p, l = SHAPES[tag](n)
     datum, _ = forward_datum(n, p, l, rng_from_seed(("golden", n, tag, int(seed))))
-    doc = certificate_out(construct(datum))
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return digest(construct(datum))
+
+
+def large_certificate_digest(key):
+    n, tag, seed = key.split(":")
+    n = int(n)
+    p, l = SHAPES[tag](n)
+    return digest(construct(bench_sized_datum(n, p, l, rng_from_seed(("golden", n, tag, int(seed))))))
 
 
 def test_certificate_bytes_unchanged():
     assert len(GOLDEN) == 4 * len(SHAPES) * 2
     changed = [key for key, digest in GOLDEN.items() if certificate_digest(key) != digest]
+    assert not changed
+
+
+def test_certificate_bytes_unchanged_at_benchmark_sizes():
+    assert len(GOLDEN_LARGE) == 3 * len(SHAPES) * 2
+    changed = [
+        key for key, value in GOLDEN_LARGE.items() if large_certificate_digest(key) != value
+    ]
     assert not changed
