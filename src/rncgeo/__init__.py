@@ -5,6 +5,11 @@ to point-incidence and (n-1)-secancy constraints, computes exact Hilbert
 functions of fat-point/double-space schemes, and decides ordered
 projective equivalence of configurations via parameters on the
 interpolating curve.  Everything is computed over Q with no tolerances.
+
+The re-exported function `construct` shadows the submodule of the same
+name, so `import rncgeo.construct as m` binds the function.  Use
+`from rncgeo.construct import ...`, or `sys.modules["rncgeo.construct"]`
+for the module object.
 """
 
 from .binforms import BinaryForm, binary_gcd, divide_exact, form_from_roots, is_squarefree

@@ -190,6 +190,12 @@ def cmd_verify(args) -> int:
         return _verify_obstruction(doc, args.format)
     if kind == "existence_certificate":
         cert = certificate_in(doc)
+        # Points are located through param_to_det(cert.curve), never through
+        # cert.det.  Even once curve_equals(cert.curve, cert.det) holds, the
+        # document's matrix need only have the curve as its rank-one locus;
+        # nothing makes its columns restrict to (u h_j, s h_j).  With its
+        # rows swapped they restrict to (s h_j, u h_j), which would read
+        # every parameter (s : u) as (u : s).
         report = verify_datum(cert.curve, cert.datum)
         # the embedded report and the method are claims too
         consistent = (

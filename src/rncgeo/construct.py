@@ -36,10 +36,11 @@ from .curves import (
     DetRnc,
     ParamRnc,
     VerificationReport,
+    _integer_columns,
+    _verify_on_columns,
     det_to_param,
     param_to_det,
     point_at_param,
-    verify_datum,
 )
 from .errors import (
     BadDimension,
@@ -150,7 +151,8 @@ class ExistenceCertificate:
 
     @staticmethod
     def make(method: str, datum: Datum, source: ParamRnc | DetRnc):
-        """Verify the datum on one representation and derive the other.
+        """Derive the other representation from the source and verify the
+        datum, locating points through the matrix.
 
         A matrix source is parametrized by `det_to_param` (a cached lookup
         after `_certify`), and the two need no equality check.  The curve x
@@ -161,13 +163,23 @@ class ExistenceCertificate:
         column combination would restrict to 0 on the linearly normal x,
         so it would be the zero column; then the rows of N would be
         dependent and every minor 0, which `det_to_param` rejects.  So
-        `curves._matrix_defines(x, det)` always holds.
+        `curves._matrix_defines(x, det)` always holds: the minors span
+        I_2(C) and the rank-one locus is exactly the curve.
+
+        The same facts locate points.  A point off the curve gives the
+        matrix rank two; at the curve point of parameter (s : u) not every
+        h_j vanishes, as the n independent h_j span the forms of degree
+        n - 1, and each nonzero column is proportional to (u, s).  So the
+        parameters are read off the source matrix itself, as
+        `param_of_point` reads them off the transported Hankel matrix
+        `param_to_det`, which is the matrix of a parametrization source.
+        No matrix is inverted for a matrix source.
         """
         if isinstance(source, DetRnc):
             det, curve = source, det_to_param(source)
         else:
             det, curve = param_to_det(source), source
-        report = verify_datum(curve, datum)
+        report = _verify_on_columns(curve, datum, _integer_columns(det))
         if not report.passed:
             raise NotGeneric(
                 f"{method}: constructed curve fails verification",
@@ -724,7 +736,8 @@ def special_datum(n: int, case: str, seed) -> tuple[Datum, ParamRnc]:
             spaces.append(Pencil(_combine(top, w1), _combine(bottom, w1)))
             spaces.append(Pencil(_combine(top, w2), _combine(bottom, w2)))
             datum = Datum(n=n, spaces=spaces, points=(p,))
-        if not verify_datum(curve, datum).passed:
+        # the minor parametrization of `det`: locate points through it
+        if not _verify_on_columns(curve, datum, _integer_columns(det)).passed:
             return None
         return datum, curve
 

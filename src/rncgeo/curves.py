@@ -8,7 +8,10 @@ locus is the curve.  Conversions go both ways:
 * param -> det transports the Hankel matrix of the normal-form curve
   (u^n, s u^(n-1), ..., s^n) through the inverse coefficient matrix, so on
   the curve the column j evaluates to a multiple of (u, s); that is what
-  lets `param_of_point` read a parameter off any nonzero column.
+  lets `param_of_point` read a parameter off any nonzero column.  Any
+  matrix whose rank-one locus is the curve and whose columns restrict to
+  (u h_j, s h_j) locates points the same way, which is how constructors
+  verify through the matrix they built (`_verify_on_columns`).
 * det -> param solves the n x (n+1) linear system expressing row
   proportionality at the parameter (s : u); the solution is the vector of
   signed maximal minors.  At each of the n+1 nodes s/u = 0..n one
@@ -252,9 +255,8 @@ def det_to_param(det: DetRnc) -> ParamRnc:
     if det._param is not None:
         return det._param
     n = det.n
-    top, bottom = det.m
     # one joint integer scale per column keeps all minors consistently scaled
-    columns = [integerize(top[j].coeffs + bottom[j].coeffs) for j in range(n)]
+    columns = _integer_columns(det)
     values = [  # values[r][k]: minor k at the node r
         signed_maximal_minors(
             [[r * a - b for a, b in zip(col[: n + 1], col[n + 1:])] for col in columns]
@@ -296,6 +298,37 @@ def det_to_param(det: DetRnc) -> ParamRnc:
     return param
 
 
+def _integer_columns(det: DetRnc) -> list[list[int]]:
+    """Each column (T_j, B_j) as one primitive integer vector T_j + B_j.
+    Top and bottom are scaled jointly, which keeps T_j(x) : B_j(x) at every
+    point; scaling them apart (or taking numerators) would not."""
+    top, bottom = det.m
+    return [integerize(f.coeffs + g.coeffs) for f, g in zip(top, bottom)]
+
+
+def _locate(columns: Sequence[Sequence[int]], point: ProjPoint) -> ProjPoint | None:
+    """The parameter (s : u) of a point on the rank-one locus of a matrix
+    given by `_integer_columns`, or None off it.  The matrix must restrict
+    to the curve as columns (u h_j, s h_j) with the h_j independent: then
+    its rank-one locus is the curve and, at a curve point, any nonzero
+    column is proportional to (u, s)."""
+    n1 = point.n + 1
+    # the rank-one test and the ratio b : a do not depend on the point's scale
+    x = integerize(point.coords)
+    first = None
+    for col in columns:
+        a = sum(c * xi for c, xi in zip(col[:n1], x) if xi)
+        b = sum(c * xi for c, xi in zip(col[n1:], x) if xi)
+        if first is None:
+            if a or b:
+                first = (a, b)
+        elif first[0] * b != first[1] * a:
+            return None
+    if first is None:
+        return None
+    return parameter(first[1], first[0])
+
+
 def param_of_point(curve: ParamRnc, point: ProjPoint) -> ProjPoint | None:
     """The unique parameter mapping to the point, or None off the curve.
 
@@ -304,26 +337,7 @@ def param_of_point(curve: ParamRnc, point: ProjPoint) -> ProjPoint | None:
     nonzero column is proportional to (u, s)."""
     if point.n != curve.n:
         raise DimensionMismatch("point and curve dimensions differ")
-    det = param_to_det(curve)
-    top, bottom = det.m
-    # both the columns and the integerized point are integer vectors; the
-    # rank-one test and the ratio b : a do not depend on the point's scale
-    x = integerize(point.coords)
-    cols = [
-        (
-            sum(c.numerator * xi for c, xi in zip(f.coeffs, x) if xi),
-            sum(c.numerator * xi for c, xi in zip(g.coeffs, x) if xi),
-        )
-        for f, g in zip(top, bottom)
-    ]
-    first = next(((a, b) for a, b in cols if a or b), None)
-    if first is None:
-        return None
-    a, b = first
-    for x, y in cols:
-        if a * y != b * x:
-            return None
-    return parameter(b, a)
+    return _locate(_integer_columns(param_to_det(curve)), point)
 
 
 def restrict(curve: ParamRnc, form: LinForm) -> BinaryForm:
@@ -487,11 +501,18 @@ def verify_datum(curve: ParamRnc, datum) -> VerificationReport:
     degree n-1 smooth (squarefree) scheme.  The report keeps each point's
     parameter and each space's gcd form for downstream consumers.
     """
+    return _verify_on_columns(curve, datum, _integer_columns(param_to_det(curve)))
+
+
+def _verify_on_columns(curve: ParamRnc, datum, columns) -> VerificationReport:
+    """`verify_datum`, locating points through `columns` (see `_locate`);
+    the caller vouches that their matrix restricts to the curve as
+    (u h_j, s h_j) with independent h_j."""
     if datum.n != curve.n:
         raise DimensionMismatch("datum and curve dimensions differ")
     point_checks = []
     for p in datum.points:
-        t = param_of_point(curve, p)
+        t = _locate(columns, p)
         point_checks.append(PointCheck(point=p, on_curve=t is not None, param=t))
     space_checks = [
         SpaceCheck(pencil=lam, secancy=secancy(curve, lam)) for lam in datum.spaces
@@ -506,17 +527,20 @@ def verify_datum(curve: ParamRnc, datum) -> VerificationReport:
 
 @register_transform(ParamRnc)
 def _transform_param_rnc(t: ProjTransform, curve: ParamRnc) -> ParamRnc:
+    """The forms t * curve.forms, computed as (D t) * curve.ints for D the
+    common denominator of t: `ParamRnc` scales away the factor D > 0."""
     if t.n != curve.n:
         raise DimensionMismatch("transform and curve dimensions differ")
-    n = curve.n
+    n1 = curve.n + 1
+    flat, _ = clear_denominators(x for row in t.matrix.entries for x in row)
     new_forms = []
-    for i in range(n + 1):
-        acc = BinaryForm.zero(n)
-        for j in range(n + 1):
-            coeff = t.matrix.entries[i][j]
-            if coeff:
-                acc = acc + coeff * curve.forms[j]
-        new_forms.append(acc)
+    for i in range(n1):
+        acc = [0] * n1
+        for a, row in zip(flat[i * n1: (i + 1) * n1], curve.ints):
+            if a:
+                for k, c in enumerate(row):
+                    acc[k] += a * c
+        new_forms.append(BinaryForm(curve.n, acc))
     return ParamRnc(new_forms)
 
 

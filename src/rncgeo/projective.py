@@ -230,14 +230,16 @@ def frame_map(points: Sequence[ProjPoint]) -> ProjTransform:
     """The unique automorphism sending the n+2 given points (in linearly
     general position) to the standard frame e_0, ..., e_n, (1:...:1): for
     B the head points as columns and w = B^-1 p_(n+1), (B diag(w))^-1 is
-    row i of B^-1 divided by w_i."""
+    row i of B^-1 divided by w_i.  Its inverse B diag(w) comes with it, so
+    inverting the transform eliminates nothing."""
     n = points[0].n
     if len(points) != n + 2:
         raise DimensionMismatch(f"frame of P^{n} needs {n + 2} points, got {len(points)}")
     if any(p.n != n for p in points):
         raise DimensionMismatch("frame points have mixed ambient dimensions")
+    head = Matrix(list(zip(*(p.coords for p in points[: n + 1]))))
     try:
-        inv = Matrix(list(zip(*(p.coords for p in points[: n + 1])))).inverse()
+        inv = head.inverse()
     except ValueError:
         raise NotGeneric(
             "first n+1 frame points are dependent", stage="frame_map",
@@ -251,7 +253,9 @@ def frame_map(points: Sequence[ProjPoint]) -> ProjTransform:
                 "last frame point is dependent on n of the others",
                 stage="frame_map", witness=subset,
             )
-    return ProjTransform(Matrix([[x / w for x in row] for row, w in zip(inv.entries, weights)]))
+    t = ProjTransform(Matrix([[x / w for x in row] for row, w in zip(inv.entries, weights)]))
+    t._inv = Matrix([[x * w for x, w in zip(row, weights)] for row in head.entries])
+    return t
 
 
 def pencil_from_points(points: Sequence[ProjPoint]) -> Pencil:

@@ -20,8 +20,13 @@ reads the substitution off the stack in closed form.
 
 `frame_map_by_two_inverses` inverts the matrix of the frame's head and then
 the rescaled matrix; the library divides the rows of the one inverse.
+
+`transform_param_rnc_by_fractions` transports a parametrization by summing
+`Fraction` multiples of its forms; the library multiplies the transform,
+denominators cleared once, into the curve's integer coefficients.
 """
 
+from rncgeo.binforms import BinaryForm
 from rncgeo.curves import DetRnc, ParamRnc
 from rncgeo.linalg import (
     Matrix,
@@ -240,3 +245,17 @@ def frame_map_by_two_inverses(points) -> Matrix:
     weights = base.inverse().apply(list(points[n + 1].coords))
     scaled = [[base.entries[r][c] * weights[c] for c in range(n + 1)] for r in range(n + 1)]
     return Matrix(scaled).inverse()
+
+
+def transform_param_rnc_by_fractions(t, curve) -> ParamRnc:
+    """Form i of the transported curve as sum_j t[i][j] * form j."""
+    n = curve.n
+    new_forms = []
+    for i in range(n + 1):
+        acc = BinaryForm.zero(n)
+        for j in range(n + 1):
+            coeff = t.matrix.entries[i][j]
+            if coeff:
+                acc = acc + coeff * curve.forms[j]
+        new_forms.append(acc)
+    return ParamRnc(new_forms)

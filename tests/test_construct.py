@@ -22,6 +22,8 @@ from rncgeo.construct import (
 )
 import rncgeo.quadrics as quadrics_module
 from rncgeo.curves import (
+    _integer_columns,
+    _verify_on_columns,
     chord_space,
     curve_equals,
     generalized_column_for,
@@ -48,7 +50,7 @@ from rncgeo.projective import (
     standard_frame,
 )
 
-from rncgeo.linalg import nullspace
+from rncgeo.linalg import Matrix, nullspace
 from reference import (
     generalized_column_kernel,
     np2_matrix_by_linsolve,
@@ -553,3 +555,50 @@ def test_spanning_tests_read_the_canonical_stack(monkeypatch):
         first = [h for h, _ in (s.member_through(datum.points[0]) for s in datum.spaces[:n])]
         kernel = nullspace(extra.membership_rows([h.coeffs for h in first]))
         assert kernel == span_membership_kernel(first, extra), n
+
+
+MATRIX_BUILT = {
+    "n+2,1": lambda n: (n + 2, 1),
+    "3,n": lambda n: (3, n),
+    "2,n+1": lambda n: (2, n + 1),
+    "1,n+2": lambda n: (1, n + 2),
+}
+
+
+def test_matrix_built_certificates_locate_points_through_their_matrix():
+    # `make` reads each point's parameter off the constructor's matrix; the
+    # report is the one `verify_datum` builds through `param_to_det`, and a
+    # point moved off the curve is refused by both
+    for n in range(3, 10):
+        for tag, shape in MATRIX_BUILT.items():
+            for seed in range(3):
+                datum, _ = forward_datum(n, *shape(n), rng_from_seed(("locate", n, tag, seed)))
+                cert = construct(datum)
+                assert cert.report == verify_datum(cert.curve, cert.datum), (n, tag, seed)
+                off = [1] + [0] * (n - 1) + [seed + 2]
+                moved = Datum(n=n, spaces=datum.spaces, points=(ProjPoint(off),) + datum.points[1:])
+                located = _verify_on_columns(cert.curve, moved, _integer_columns(cert.det))
+                assert not located.points[0].on_curve, (n, tag, seed)
+                assert located == verify_datum(cert.curve, moved), (n, tag, seed)
+
+
+def test_constructors_invert_only_what_the_frame_needs(monkeypatch):
+    # the four matrix-built shapes invert no matrix once the interpolation
+    # rows are cached; (n+3, 0) inverts the frame's head and the curve's
+    # coefficients (for the emitted matrix), not the frame map
+    original = Matrix.inverse
+    calls = []
+
+    def counting(self):
+        calls.append(self.rows)
+        return original(self)
+
+    for n in range(7, 10):
+        for tag, shape in {**MATRIX_BUILT, "n+3,0": lambda n: (n + 3, 0)}.items():
+            datum, _ = forward_datum(n, *shape(n), rng_from_seed(("inverses", n, tag)))
+            construct(datum)
+            with monkeypatch.context() as patch:
+                patch.setattr(Matrix, "inverse", counting)
+                calls.clear()
+                construct(datum)
+            assert len(calls) == (2 if tag == "n+3,0" else 0), (n, tag)

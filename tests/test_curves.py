@@ -10,6 +10,8 @@ from rncgeo.binforms import BinaryForm, form_from_roots
 from rncgeo.curves import (
     DetRnc,
     ParamRnc,
+    _integer_columns,
+    _locate,
     _matrix_defines,
     chord_space,
     curve_equals,
@@ -34,8 +36,9 @@ from rncgeo.projective import (
     ProjPoint,
     ProjTransform,
     apply_transform,
+    frame_map,
 )
-from reference import quadric_space
+from reference import quadric_space, transform_param_rnc_by_fractions
 
 
 def hankel(n):
@@ -338,6 +341,41 @@ def test_transform_commutes_with_evaluation():
     moved = apply_transform(t, c)
     for s, u in [(0, 1), (1, 0), (2, 1), (-3, 2)]:
         assert point_at(moved, s, u) == apply_transform(t, point_at(c, s, u))
+
+
+def test_transform_matches_fraction_reference():
+    # integer transforms, their Fraction inverses and frame maps: clearing
+    # the transform's denominators once gives the identical normalized forms
+    rng = random.Random(47)
+    for n in range(2, 7):
+        for _ in range(4):
+            c = rand_curve(n, rng)
+            t = rand_transform(n, rng)
+            frame = frame_map([point_at(c, k, 1) for k in range(n + 2)])
+            for move in (t, t.inverse(), frame, frame.inverse()):
+                moved = apply_transform(move, c)
+                assert moved == transform_param_rnc_by_fractions(move, c), n
+                assert moved.ints == transform_param_rnc_by_fractions(move, c).ints
+
+
+def test_locate_through_rescaled_fraction_columns():
+    # scaling a column's top and bottom jointly, by any nonzero rational,
+    # keeps every located parameter; the columns are integerized jointly
+    rng = random.Random(53)
+    for n in range(3, 7):
+        c = rand_curve(n, rng)
+        top, bottom = param_to_det(c).m
+        scales = [QQ(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 9)) for _ in top]
+        det = DetRnc([
+            [LinForm([k * x for x in f.coeffs]) for k, f in zip(scales, top)],
+            [LinForm([k * x for x in g.coeffs]) for k, g in zip(scales, bottom)],
+        ])
+        columns = _integer_columns(det)
+        for s_, u in [(0, 1), (1, 0), (3, 1), (-2, 5)]:
+            p = point_at(c, s_, u)
+            assert _locate(columns, p) == param_of_point(c, p) == parameter(s_, u)
+        off = ProjPoint([1] + [0] * (n - 1) + [1])
+        assert (_locate(columns, off) is None) == (param_of_point(c, off) is None)
 
 
 def test_transformed_det_tracks_parameters():

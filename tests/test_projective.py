@@ -98,6 +98,18 @@ def test_frame_map_equals_the_two_inverse_construction():
             assert frame_map(points).matrix == expected
 
 
+def test_frame_map_carries_its_exact_inverse():
+    # B diag(w) is the inverse the transform would otherwise eliminate for
+    rng = random.Random(61)
+    for n in range(1, 7):
+        for _ in range(5):
+            s = rand_transform(n, rng)
+            points = [apply_transform(s, p) for p in standard_frame(n)]
+            t = frame_map(points)
+            assert t.inverse().matrix == t.matrix.inverse()
+            assert t.inverse_matrix() == t.matrix.inverse()
+
+
 def test_frame_map_not_generic_last_point():
     pts = coordinate_points(3) + [ProjPoint([1, 1, 0, 1])]
     with pytest.raises(NotGeneric) as err:

@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -349,6 +350,29 @@ def test_cli_verify_checks_the_embedded_report_and_method(tmp_path, capsys):
     made_up["method"] = "made_up"
     for name, tampered in (("passed", failed), ("param", moved), ("method", made_up)):
         assert verify_doc(tmp_path, capsys, tampered) == 10, name
+
+
+def test_cli_verify_accepts_other_matrices_of_the_same_curve(tmp_path, capsys):
+    # verify locates points through the document's curve, not its matrix:
+    # a genuine certificate with its det rows swapped, or its columns
+    # rescaled, defines the same curve and still passes
+    def scaled(x, k):
+        v = Fraction(str(x)) * k
+        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+    for n, p, l in ((3, 5, 1), (4, 3, 4), (4, 2, 5), (4, 1, 6), (4, 7, 0)):
+        datum, _ = forward_datum(n, p, l, rng_from_seed(("verify-matrix", p, l)))
+        doc = construct_doc(tmp_path, capsys, datum)
+        swapped = json.loads(json.dumps(doc))
+        swapped["det"]["rows"].reverse()
+        rescaled = json.loads(json.dumps(doc))
+        for row in rescaled["det"]["rows"]:
+            for j, column in enumerate(row):
+                k = Fraction(-(j + 2), 3) if j % 2 else Fraction(j + 1, 5)
+                row[j] = [scaled(x, k) for x in column]
+        for name, tampered in (("swapped", swapped), ("rescaled", rescaled)):
+            assert tampered["det"] != doc["det"]
+            assert verify_doc(tmp_path, capsys, tampered) == 0, (p, l, name)
 
 
 def test_cli_ah_suite(capsys):
