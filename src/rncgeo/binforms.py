@@ -17,7 +17,7 @@ from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
 from .errors import BothZero, ZeroForm, ZeroParameter
-from .scalars import QQ, integerize
+from .scalars import QQ, as_qq, integerize
 
 
 class BinaryForm:
@@ -26,7 +26,7 @@ class BinaryForm:
     def __init__(self, degree: int, coeffs: Sequence):
         if degree < 0:
             raise ValueError("negative degree")
-        coeffs = tuple(QQ(c) for c in coeffs)
+        coeffs = tuple(as_qq(c) for c in coeffs)
         if len(coeffs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
         self.degree = degree

@@ -10,11 +10,16 @@ codes separate the outcome classes:
     11  genericity failure (NotGeneric and friends)
     12  unsupported shape or open case
     13  malformed input
+
+Usage errors (an unknown command, a missing or ill-typed argument) are
+argparse's own: usage on stderr, no document, exit code 2, which `main`
+raises as SystemExit(2).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -346,7 +351,11 @@ def _exit_code_for(exc: GeometryError) -> int:
     return EXIT_NOT_GENERIC
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use.  `main`
+    shares it across calls: `parse_args` never mutates the parser and
+    returns a fresh namespace every time."""
     parser = argparse.ArgumentParser(
         prog="rncgeo",
         description=(
@@ -419,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GeometryError as exc:

@@ -43,7 +43,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Sequence
 
-from .scalars import QQ, clear_denominators, integerize
+from .scalars import QQ, as_qq, clear_denominators, integerize
 
 Vector = list  # list[QQ]
 
@@ -54,7 +54,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        grid = tuple(tuple(QQ(x) for x in row) for row in entries)
+        grid = tuple(tuple(as_qq(x) for x in row) for row in entries)
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("ragged rows")
         self.entries = grid

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import DegenerateSpan, DimensionMismatch, NotGeneric
 from .linalg import Matrix, canonical_rowspace, nullspace
-from .scalars import QQ
+from .scalars import QQ, as_qq
 
 
 class ProjPoint:
@@ -27,14 +27,14 @@ class ProjPoint:
     __slots__ = ("n", "coords")
 
     def __init__(self, coords: Sequence):
-        raw = [QQ(c) for c in coords]
+        raw = [as_qq(c) for c in coords]
         if len(raw) < 2:
             raise ValueError("a projective point needs at least 2 coordinates")
         lead = next((c for c in raw if c), None)
         if lead is None:
             raise ValueError("all coordinates are zero")
         self.n = len(raw) - 1
-        self.coords = tuple(c / lead for c in raw)
+        self.coords = tuple(raw) if lead == 1 else tuple(c / lead for c in raw)
 
     def __eq__(self, other):
         return isinstance(other, ProjPoint) and self.coords == other.coords
@@ -52,7 +52,7 @@ class LinForm:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, coeffs: Sequence):
-        raw = tuple(QQ(c) for c in coeffs)
+        raw = tuple(as_qq(c) for c in coeffs)
         if len(raw) < 2:
             raise ValueError("a linear form needs at least 2 coefficients")
         if not any(raw):

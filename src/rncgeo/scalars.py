@@ -8,6 +8,7 @@ conversion and formatting helpers the rest of the package shares.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -15,19 +16,38 @@ from .errors import ParseError
 
 QQ = Fraction
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def as_qq(value) -> QQ:
+    """`value` as an exact scalar.  A `Fraction` is returned as it is (it is
+    immutable, so sharing it is safe); ints, "p/q" strings and other exact
+    rationals are converted, and floats are refused."""
+    if type(value) is QQ:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"floats are not exact scalars: {value!r}")
+    return QQ(value)
+
 
 def parse_rational(text: str, *, location: str = "") -> QQ:
-    """Parse "p" or "p/q" with q != 0; no floats ever."""
-    body = text.strip()
-    num, sep, den = body.partition("/")
+    """Parse "p" or "p/q" with q != 0, written with an optional sign and
+    ASCII digits only; no floats ever."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ParseError(
+            f"bad rational {text!r}: expected p or p/q in ASCII digits",
+            location=location,
+        )
+    num, den = match.groups()
     try:
-        if not sep:
+        if den is None:
             return QQ(int(num))
         d = int(den)
         if d == 0:
             raise ParseError(f"zero denominator in {text!r}", location=location)
         return QQ(int(num), d)
-    except ValueError as exc:
+    except ValueError as exc:  # a literal past the int digit limit
         raise ParseError(f"bad rational {text!r}: {exc}", location=location) from exc
 
 

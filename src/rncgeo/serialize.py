@@ -32,7 +32,7 @@ from .obstruct import DegreeLedger, ObstructionCertificate
 from .postulation import DefectWitness, InterpolationCase, PostulationReport, SchemeSpec
 from .projective import LinForm, Pencil, ProjPoint, pencil_from_points
 from .quadrics import monomials
-from .scalars import QQ, format_rational, parse_rational
+from .scalars import QQ, as_qq, format_rational, parse_rational
 
 VERSION = 1
 
@@ -55,7 +55,7 @@ def _scalar_in(value, where: str) -> QQ:
 
 
 def _vector_out(vec) -> list:
-    return [_scalar_out(QQ(x)) for x in vec]
+    return [_scalar_out(as_qq(x)) for x in vec]
 
 
 def _vector_in(value, where: str) -> list[QQ]:
