@@ -79,13 +79,13 @@ class BinaryForm:
                         if b:
                             out[i + j] += a * b
             return BinaryForm(self.degree + other.degree, out)
-        q = QQ(other)
+        q = as_qq(other)
         return BinaryForm(self.degree, [q * a for a in self.coeffs])
 
     __rmul__ = __mul__
 
     def evaluate(self, s, u) -> QQ:
-        s, u = QQ(s), QQ(u)
+        s, u = as_qq(s), as_qq(u)
         if not s and not u:
             raise ZeroParameter("(0, 0) is not a parameter")
         total = QQ(0)
@@ -114,8 +114,8 @@ class BinaryForm:
     def substitute(self, a, b, c, d) -> "BinaryForm":
         """The form composed with (s, u) -> (a s + b u, c s + d u)."""
         deg = self.degree
-        first = BinaryForm(1, [QQ(b), QQ(a)])
-        second = BinaryForm(1, [QQ(d), QQ(c)])
+        first = BinaryForm(1, [b, a])
+        second = BinaryForm(1, [d, c])
         fp = [BinaryForm.constant_one()]
         sp = [BinaryForm.constant_one()]
         for _ in range(deg):
@@ -136,7 +136,7 @@ def form_from_roots(params: Iterable) -> BinaryForm:
     """
     out = BinaryForm.constant_one()
     for s, u in params:
-        s, u = QQ(s), QQ(u)
+        s, u = as_qq(s), as_qq(u)
         if not s and not u:
             raise ZeroParameter("(0, 0) is not a parameter")
         out = out * BinaryForm(1, [-s, u])

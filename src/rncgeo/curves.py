@@ -18,9 +18,11 @@ locus is the curve.  Conversions go both ways:
   fraction-free elimination yields all of them, and a cached integer
   inverse Vandermonde matrix interpolates the minor forms exactly.
 
-Restriction of a linear form and evaluation at a point run on integers:
-the curve keeps its primitive integer coefficients, and the transported
-Hankel matrix has primitive integer columns.  The invertibility check of
+Restriction of a linear form, evaluation at a point and chord spaces run
+on integers: the curve keeps its primitive integer coefficients and, once
+computed, an integer multiple of their inverse, which gives both the
+transported Hankel matrix (with primitive integer columns) and the forms
+through any n-1 curve points.  The invertibility check of
 a `ParamRnc` is a certified modular rank of those coefficients (one
 elimination mod p when, as for every curve, the rank is full).
 
@@ -57,11 +59,10 @@ from .projective import (
     Pencil,
     ProjPoint,
     ProjTransform,
-    pencil_from_points,
     register_transform,
     transform,
 )
-from .scalars import QQ, clear_denominators, integerize
+from .scalars import QQ, as_qq, clear_denominators, integerize
 
 
 def parameter(s, u) -> ProjPoint:
@@ -75,10 +76,11 @@ class ParamRnc:
     Forms are stored jointly rescaled to a primitive integer coefficient
     vector with positive leading entry; a common rescaling does not change
     the map.  `ints` keeps those coefficients as Python integers, one row
-    per form.
+    per form.  `param_to_det` and `chord_space` share one integer inverse
+    of that matrix, computed on first use (`_scaled_inverse`).
     """
 
-    __slots__ = ("n", "forms", "ints", "_det")
+    __slots__ = ("n", "forms", "ints", "_det", "_inv")
 
     def __init__(self, forms: Sequence[BinaryForm]):
         n = len(forms) - 1
@@ -102,6 +104,7 @@ class ParamRnc:
                 stage="param_rnc",
             )
         self._det = None
+        self._inv = None
 
     def __eq__(self, other):
         return isinstance(other, ParamRnc) and self.forms == other.forms
@@ -183,27 +186,38 @@ def moment_curve(n: int) -> ParamRnc:
 
 
 def point_at(curve: ParamRnc, s, u) -> ProjPoint:
-    s, u = QQ(s), QQ(u)
+    """The curve point at the parameter (s : u), evaluated on the integer
+    coefficients at the integerized parameter: a rescaled parameter only
+    rescales the coordinates, and a projective point does not see that."""
+    s, u = as_qq(s), as_qq(u)
     if not s and not u:
         raise ZeroParameter("(0, 0) is not a parameter")
+    s, u = integerize((s, u))
     n = curve.n
-    spow = [QQ(1)]
-    upow = [QQ(1)]
+    spow, upow = [1], [1]
     for _ in range(n):
         spow.append(spow[-1] * s)
         upow.append(upow[-1] * u)
-    coords = []
-    for f in curve.forms:
-        total = QQ(0)
-        for k, c in enumerate(f.coeffs):
-            if c:
-                total += c * spow[k] * upow[n - k]
-        coords.append(total)
-    return ProjPoint(coords)
+    mono = [a * b for a, b in zip(spow, reversed(upow))]
+    return ProjPoint([sum(c * m for c, m in zip(row, mono) if c) for row in curve.ints])
 
 
 def point_at_param(curve: ParamRnc, t: ProjPoint) -> ProjPoint:
     return point_at(curve, t.coords[0], t.coords[1])
+
+
+def _scaled_inverse(curve: ParamRnc) -> tuple[tuple[int, ...], ...]:
+    """The rows R_k of d C^-1, for C = `curve.ints` and d > 0 the lcm of
+    the inverse's denominators.  A form restricts to the curve as its
+    coefficient vector times C, so sum_k r_k R_k restricts to d r.  The
+    one `Matrix.inverse` of a curve, cached on it."""
+    if curve._inv is None:
+        n1 = curve.n + 1
+        flat, _ = clear_denominators(
+            x for row in Matrix(curve.ints).inverse().entries for x in row
+        )
+        curve._inv = tuple(tuple(flat[i * n1: (i + 1) * n1]) for i in range(n1))
+    return curve._inv
 
 
 def param_to_det(curve: ParamRnc) -> DetRnc:
@@ -212,11 +226,10 @@ def param_to_det(curve: ParamRnc) -> DetRnc:
     if curve._det is not None:
         return curve._det
     n = curve.n
-    back = Matrix(curve.ints).inverse()
+    back = _scaled_inverse(curve)
     top, bottom = [], []
     for j in range(n):
-        stacked = list(back.entries[j]) + list(back.entries[j + 1])
-        ints = integerize(stacked)
+        ints = integerize(back[j] + back[j + 1])
         top.append(LinForm(ints[: n + 1]))
         bottom.append(LinForm(ints[n + 1:]))
     det = DetRnc([top, bottom])
@@ -405,16 +418,42 @@ def generalized_column_for(det: DetRnc, pencil: Pencil) -> list[QQ] | None:
 
 
 def chord_space(curve: ParamRnc, params: Sequence) -> Pencil:
-    """The span of n-1 distinct curve points given by their parameters."""
-    pts = []
+    """The span of n-1 distinct curve points given by their parameters.
+
+    A form vanishes at the points iff its restriction is a multiple of
+    D = prod (u_i s - s_i u), of degree n-1, so the span is cut out by the
+    forms restricting to D s and D u: (D s) R and (D u) R for R the
+    curve's `_scaled_inverse`.  The pencil's f and g are the canonical
+    `nullspace` basis of the points: its free columns are the lex-last
+    columns on which the two forms are independent, so that basis is the
+    canonical stack of the pencil with its coordinates reversed, read
+    back in reverse.
+    """
+    n = curve.n
     seen = set()
+    d_form = [1]  # coefficients of D, ascending in s
     for p in params:
         t = p if isinstance(p, ProjPoint) else parameter(*p)
         if t in seen:
             raise RepeatedParameter(f"parameter {t} repeated")
         seen.add(t)
-        pts.append(point_at_param(curve, t))
-    return pencil_from_points(pts)
+        s, u = integerize(t.coords)
+        d_form = [u * a - s * b for a, b in zip([0] + d_form, d_form + [0])]
+    if n < 3:
+        raise DimensionMismatch("pencils from point spans need n >= 3")
+    if len(seen) != n - 1:
+        raise DimensionMismatch(f"expected {n - 1} points spanning a P^{n - 2}")
+    back = _scaled_inverse(curve)
+    forms = []
+    for r in ([0] + d_form, d_form + [0]):  # D s, D u
+        acc = [0] * (n + 1)
+        for a, row in zip(r, back):
+            if a:
+                for j, c in enumerate(row):
+                    acc[j] += a * c
+        forms.append(LinForm(acc[::-1]))
+    last, first = Pencil(*forms).canonical
+    return Pencil(LinForm(first[::-1]), LinForm(last[::-1]))
 
 
 def _matrix_defines(curve: ParamRnc, det: DetRnc) -> bool:
@@ -489,7 +528,7 @@ def curve_equals(a, b) -> bool:
 
 def reparametrize(curve: ParamRnc, a, b, c, d) -> ParamRnc:
     """Precompose the parametrization with an invertible Moebius map."""
-    if QQ(a) * QQ(d) - QQ(b) * QQ(c) == 0:
+    if as_qq(a) * as_qq(d) - as_qq(b) * as_qq(c) == 0:
         raise ValueError("Moebius substitution must be invertible")
     return ParamRnc([f.substitute(a, b, c, d) for f in curve.forms])
 

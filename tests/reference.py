@@ -24,10 +24,17 @@ the rescaled matrix; the library divides the rows of the one inverse.
 `transform_param_rnc_by_fractions` transports a parametrization by summing
 `Fraction` multiples of its forms; the library multiplies the transform,
 denominators cleared once, into the curve's integer coefficients.
+
+`point_at_by_fractions` evaluates the `Fraction` forms at a `Fraction`
+parameter, and `chord_space_by_points` takes the kernel of the curve points
+(`pencil_from_points`); the library evaluates the integer coefficients at
+the integerized parameter and reads chord spaces off the curve's cached
+integer inverse.
 """
 
 from rncgeo.binforms import BinaryForm
-from rncgeo.curves import DetRnc, ParamRnc
+from rncgeo.curves import DetRnc, ParamRnc, parameter
+from rncgeo.errors import RepeatedParameter, ZeroParameter
 from rncgeo.linalg import (
     Matrix,
     _int_rows,
@@ -36,7 +43,7 @@ from rncgeo.linalg import (
     ff_rank,
     nullspace,
 )
-from rncgeo.projective import LinForm
+from rncgeo.projective import LinForm, ProjPoint, pencil_from_points
 from rncgeo.quadrics import (
     containment_rows,
     linform_product_vector,
@@ -259,3 +266,32 @@ def transform_param_rnc_by_fractions(t, curve) -> ParamRnc:
                 acc = acc + coeff * curve.forms[j]
         new_forms.append(acc)
     return ParamRnc(new_forms)
+
+
+def point_at_by_fractions(curve, s, u) -> ProjPoint:
+    """Sum of c s^k u^(n-k) over the `Fraction` coefficients of each form."""
+    s, u = QQ(s), QQ(u)
+    if not s and not u:
+        raise ZeroParameter("(0, 0) is not a parameter")
+    n = curve.n
+    coords = []
+    for f in curve.forms:
+        total = QQ(0)
+        for k, c in enumerate(f.coeffs):
+            if c:
+                total += c * s**k * u ** (n - k)
+        coords.append(total)
+    return ProjPoint(coords)
+
+
+def chord_space_by_points(curve, params):
+    """The kernel of the n-1 curve points at the given parameters."""
+    pts = []
+    seen = set()
+    for p in params:
+        t = p if isinstance(p, ProjPoint) else parameter(*p)
+        if t in seen:
+            raise RepeatedParameter(f"parameter {t} repeated")
+        seen.add(t)
+        pts.append(point_at_by_fractions(curve, *t.coords))
+    return pencil_from_points(pts)

@@ -28,7 +28,7 @@ from rncgeo.curves import (
     secancy,
     verify_datum,
 )
-from rncgeo.errors import NotGenericMatrix, RepeatedParameter
+from rncgeo.errors import DimensionMismatch, NotGenericMatrix, RepeatedParameter
 from rncgeo.linalg import Matrix
 from rncgeo.projective import (
     LinForm,
@@ -38,7 +38,12 @@ from rncgeo.projective import (
     apply_transform,
     frame_map,
 )
-from reference import quadric_space, transform_param_rnc_by_fractions
+from reference import (
+    chord_space_by_points,
+    point_at_by_fractions,
+    quadric_space,
+    transform_param_rnc_by_fractions,
+)
 
 
 def hankel(n):
@@ -301,6 +306,51 @@ def test_chord_space_always_secant():
                 params.append(t)
         res = secancy(c, chord_space(c, params))
         assert res.degree == n - 1 and res.smooth
+
+
+def mixed_parameters(rng, count):
+    """`count` distinct parameters, (1:0) and (0:1) first, then integer,
+    rational and negative ones as (s, u) pairs that are not normalized."""
+    seen = [parameter(1, 0), parameter(0, 1)]
+    pairs = [(3, 0), (0, -2)]
+    while len(pairs) < count:
+        s, u = rng.randint(-40, 40), rng.choice([1, 1, -1, 2, -3, 5, 7])
+        if s and parameter(s, u) not in seen:
+            seen.append(parameter(s, u))
+            pairs.append((s * 2, u * 2) if rng.random() < 0.3 else (s, u))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_point_at_and_chord_space_match_the_fraction_route(n):
+    # points evaluated on integers and chord spaces read off the cached
+    # inverse are the same objects as the Fraction points and their kernel
+    rng = random.Random(f"integer-route-{n}")
+    c = rand_curve(n, rng)
+    pairs = mixed_parameters(rng, 4 * (n - 1))
+    for s, u in pairs + [(QQ(2, 3), QQ(-5, 7)), ("-1/4", 3)]:
+        assert point_at(c, s, u) == point_at_by_fractions(c, s, u)
+    for k in range(4):
+        chunk = pairs[k * (n - 1): (k + 1) * (n - 1)]
+        got, want = chord_space(c, chunk), chord_space_by_points(c, chunk)
+        assert (got.f, got.g, got.canonical) == (want.f, want.g, want.canonical)
+
+
+@pytest.mark.parametrize("route", [chord_space, chord_space_by_points])
+def test_chord_space_error_types(route):
+    rng = random.Random("chord-space-errors")
+    for n in (3, 4, 6):
+        c = rand_curve(n, rng)
+        others = [(k, 1) for k in range(5, 5 + n - 3)]
+        with pytest.raises(RepeatedParameter):
+            route(c, [(2, 1), (4, 2)] + others)  # projectively equal
+        with pytest.raises(RepeatedParameter):
+            route(c, [(1, 0), (-3, 0)] + others)
+        for count in (n - 2, n):
+            with pytest.raises(DimensionMismatch):
+                route(c, [(k, 1) for k in range(count)])
+    with pytest.raises(DimensionMismatch):
+        route(rand_curve(2, rng), [(1, 1)])
 
 
 def test_curve_equals_reparametrization():

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from rncgeo.cli import main
-from rncgeo.curves import verify_datum
+from rncgeo.curves import param_to_det, verify_datum
 from rncgeo import generate
 from rncgeo.generate import MAX_DATUM_DIMENSION, draw_budget, forward_datum, rng_from_seed
 
@@ -25,6 +25,32 @@ def test_forward_datum_beyond_the_default_pool(n):
         datum, curve = forward_datum(n, p, l, rng_from_seed(("wide-pool", n, tag)))
         assert (datum.p, datum.l) == (p, l)
         assert verify_datum(curve, datum).passed, tag
+
+
+def test_forward_datum_inverts_each_curve_once(monkeypatch):
+    # points are evaluated on integers and the eleven chord spaces are read
+    # off one cached inverse, which `param_to_det` then reuses
+    from rncgeo import curves, linalg, projective
+
+    inverses, kernels = [], []
+    real_inverse, real_nullspace = linalg.Matrix.inverse, linalg.nullspace
+
+    def counting_inverse(self):
+        inverses.append(self.rows)
+        return real_inverse(self)
+
+    def counting_nullspace(m):
+        kernels.append(m)
+        return real_nullspace(m)
+
+    monkeypatch.setattr(linalg.Matrix, "inverse", counting_inverse)
+    for module in (linalg, curves, projective):
+        monkeypatch.setattr(module, "nullspace", counting_nullspace)
+    datum, curve = forward_datum(9, 1, 11, rng_from_seed(("one-inverse", 9)))
+    assert (datum.p, datum.l) == (1, 11)
+    assert inverses == [10] and kernels == []
+    param_to_det(curve)
+    assert inverses == [10]
 
 
 def test_forward_datum_small_counts_keep_their_seeds(capsys):

@@ -1,13 +1,15 @@
-"""Exact scalars: `Fraction`s are shared, not copied; floats are refused;
-document rationals are an optional sign and ASCII digits, "p" or "p/q"."""
+"""Exact scalars: `Fraction`s are shared, not copied; floats are refused,
+by the constructors and by every function that takes a parameter or a
+scalar; document rationals are an optional sign and ASCII digits, "p" or "p/q"."""
 
 import json
 from fractions import Fraction
 
 import pytest
 
-from rncgeo.binforms import BinaryForm
+from rncgeo.binforms import BinaryForm, form_from_roots
 from rncgeo.cli import main
+from rncgeo.curves import moment_curve, point_at, reparametrize
 from rncgeo.errors import ParseError
 from rncgeo.linalg import Matrix
 from rncgeo.projective import LinForm, ProjPoint
@@ -62,6 +64,38 @@ def test_constructors_still_convert_ints_and_strings():
 def test_constructors_refuse_floats(build):
     with pytest.raises(TypeError):
         build()
+
+
+CUBIC = moment_curve(3)
+LINE = BinaryForm(1, [1, 1])  # u + s
+
+# each scalar site as (call with x, its value at x = 1/2)
+SCALAR_SITES = {
+    "point_at": (lambda x: point_at(CUBIC, x, 1), ProjPoint([8, 4, 2, 1])),
+    "reparametrize": (
+        lambda x: reparametrize(CUBIC, x, 1, 0, 1), reparametrize(CUBIC, 1, 2, 0, 2)
+    ),
+    "BinaryForm.__mul__": (lambda x: LINE * x, BinaryForm(1, ["1/2", "1/2"])),
+    "BinaryForm.evaluate": (lambda x: LINE.evaluate(x, 1), Fraction(3, 2)),
+    "BinaryForm.substitute": (
+        lambda x: LINE.substitute(x, 1, 0, 1), BinaryForm(1, [2, "1/2"])
+    ),
+    "form_from_roots": (lambda x: form_from_roots([(x, 1)]), BinaryForm(1, ["-1/2", 1])),
+}
+
+
+@pytest.mark.parametrize("site", SCALAR_SITES)
+def test_scalar_sites_refuse_floats(site):
+    call, _ = SCALAR_SITES[site]
+    with pytest.raises(TypeError):
+        call(0.5)
+
+
+@pytest.mark.parametrize("site", SCALAR_SITES)
+def test_scalar_sites_take_ints_fractions_and_strings(site):
+    call, half = SCALAR_SITES[site]
+    assert call(Fraction(1, 2)) == call("1/2") == call("2/4") == half
+    assert call(3) == call(Fraction(3)) == call("3") != half
 
 
 @pytest.mark.parametrize(
