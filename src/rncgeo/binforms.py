@@ -17,7 +17,7 @@ from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
 from .errors import BothZero, ZeroForm, ZeroParameter
-from .scalars import QQ, as_qq, integerize
+from .scalars import QQ, as_qq, clear_denominators, integerize
 
 
 class BinaryForm:
@@ -112,20 +112,27 @@ class BinaryForm:
         return BinaryForm(self.degree, [c / lead for c in self.coeffs])
 
     def substitute(self, a, b, c, d) -> "BinaryForm":
-        """The form composed with (s, u) -> (a s + b u, c s + d u)."""
+        """The form composed with (s, u) -> (a s + b u, c s + d u).
+
+        Expanded in integers: with L the common denominator of a, b, c, d
+        and M that of the coefficients, the integer form M f composed with
+        the integer map L (a, b, c, d) is M L^deg times the result, which
+        is divided back once."""
         deg = self.degree
-        first = BinaryForm(1, [b, a])
-        second = BinaryForm(1, [d, c])
-        fp = [BinaryForm.constant_one()]
-        sp = [BinaryForm.constant_one()]
+        (a, b, c, d), scale = clear_denominators(as_qq(x) for x in (a, b, c, d))
+        coeffs, coeff_scale = clear_denominators(self.coeffs)
+        first, second = [b, a], [d, c]  # a s + b u and c s + d u, ascending
+        fp, sp = [[1]], [[1]]
         for _ in range(deg):
-            fp.append(fp[-1] * first)
-            sp.append(sp[-1] * second)
-        out = BinaryForm.zero(deg)
-        for k, coeff in enumerate(self.coeffs):
+            fp.append(_int_mul(fp[-1], first))
+            sp.append(_int_mul(sp[-1], second))
+        out = [0] * (deg + 1)
+        for k, coeff in enumerate(coeffs):
             if coeff:
-                out = out + coeff * (fp[k] * sp[deg - k])
-        return out
+                for i, x in enumerate(_int_mul(fp[k], sp[deg - k])):
+                    out[i] += coeff * x
+        den = coeff_scale * scale**deg
+        return BinaryForm(deg, [QQ(x, den) for x in out])
 
 
 def form_from_roots(params: Iterable) -> BinaryForm:
@@ -151,6 +158,15 @@ def _deg(p: list[int]) -> int:
         if p[i]:
             return i
     return -1
+
+
+def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
 
 
 def _primitive(p: list[int]) -> list[int]:

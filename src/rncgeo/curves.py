@@ -202,6 +202,18 @@ def point_at(curve: ParamRnc, s, u) -> ProjPoint:
     return ProjPoint([sum(c * m for c, m in zip(row, mono) if c) for row in curve.ints])
 
 
+def _combine_rows(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """sum_i coeffs[i] rows[i], in integers.  With `rows` = `curve.ints`
+    this restricts the form of coefficients `coeffs` to the curve."""
+    out = [0] * len(rows[0])
+    for a, row in zip(coeffs, rows):
+        if a:
+            for k, c in enumerate(row):
+                if c:
+                    out[k] += a * c
+    return out
+
+
 def point_at_param(curve: ParamRnc, t: ProjPoint) -> ProjPoint:
     return point_at(curve, t.coords[0], t.coords[1])
 
@@ -357,17 +369,11 @@ def restrict(curve: ParamRnc, form: LinForm) -> BinaryForm:
     """The hyperplane pulled back to the parameter line (degree n)."""
     if form.n != curve.n:
         raise DimensionMismatch("form and curve dimensions differ")
-    n = curve.n
     coeffs, scale = clear_denominators(form.coeffs)
-    out = [0] * (n + 1)
-    for a, row in zip(coeffs, curve.ints):
-        if a:
-            for k, c in enumerate(row):
-                if c:
-                    out[k] += a * c
+    out = _combine_rows(coeffs, curve.ints)
     if scale == 1:
-        return BinaryForm(n, out)
-    return BinaryForm(n, [QQ(x, scale) for x in out])
+        return BinaryForm(curve.n, out)
+    return BinaryForm(curve.n, [QQ(x, scale) for x in out])
 
 
 def secancy(curve: ParamRnc, pencil: Pencil) -> SecancyResult:
@@ -444,14 +450,9 @@ def chord_space(curve: ParamRnc, params: Sequence) -> Pencil:
     if len(seen) != n - 1:
         raise DimensionMismatch(f"expected {n - 1} points spanning a P^{n - 2}")
     back = _scaled_inverse(curve)
-    forms = []
-    for r in ([0] + d_form, d_form + [0]):  # D s, D u
-        acc = [0] * (n + 1)
-        for a, row in zip(r, back):
-            if a:
-                for j, c in enumerate(row):
-                    acc[j] += a * c
-        forms.append(LinForm(acc[::-1]))
+    forms = (  # D s, D u
+        LinForm(_combine_rows(r, back)[::-1]) for r in ([0] + d_form, d_form + [0])
+    )
     last, first = Pencil(*forms).canonical
     return Pencil(LinForm(first[::-1]), LinForm(last[::-1]))
 
@@ -543,6 +544,92 @@ def verify_datum(curve: ParamRnc, datum) -> VerificationReport:
     return _verify_on_columns(curve, datum, _integer_columns(param_to_det(curve)))
 
 
+def verify_claims(
+    curve: ParamRnc, datum, claimed: VerificationReport
+) -> VerificationReport | None:
+    """The report `verify_datum(curve, datum)` returns, found by checking
+    the claims of a passing report instead of recomputing them; None when
+    a claim fails or the report does not say that it passes.
+
+    A point's claim holds when the curve's integer coefficients,
+    evaluated at its claimed parameter t, give the point (`point_at`):
+    the parametrization is injective, so t is the parameter
+    `verify_datum` reads.  A space's claimed d-form D must have degree n-1, be monic and
+    squarefree, and divide the restrictions F and G of both canonical
+    forms with linear quotients that are not proportional.  Then the
+    quotients are coprime, so gcd(F, G) = D up to a scalar, and both are
+    monic: `secancy` would return D, smooth and (n-1)-secant.  D is made
+    primitive, so it divides an integer form over Q only with an integer
+    quotient (Gauss's lemma), and exact integer long division decides
+    each quotient.  No matrix is inverted and no gcd of degree n is taken.
+
+    The report is built from the datum's own points and spaces, whose
+    forms are the ones `verify_datum` emits; a claimed space only has to
+    be equal to its datum space.
+    """
+    n = curve.n
+    if not (
+        claimed.passed
+        and datum.n == n
+        and len(claimed.points) == datum.p
+        and len(claimed.spaces) == datum.l
+    ):
+        return None
+    point_checks = []
+    for point, pc in zip(datum.points, claimed.points):
+        t = pc.param
+        if not (pc.on_curve and pc.point == point and t is not None and t.n == 1):
+            return None
+        if point_at_param(curve, t) != point:
+            return None
+        point_checks.append(PointCheck(point=point, on_curve=True, param=t))
+    space_checks = []
+    for pencil, sc in zip(datum.spaces, claimed.spaces):
+        r = sc.secancy
+        d_form = r.d_form
+        if not (
+            sc.pencil == pencil
+            and r.smooth
+            and r.is_n_minus_1_secant
+            and r.degree == d_form.degree == n - 1
+            and next((c for c in reversed(d_form.coeffs) if c), 0) == 1
+            and is_squarefree(d_form)
+        ):
+            return None
+        d_ints = integerize(d_form.coeffs)
+        quotients = [
+            _linear_quotient(_combine_rows(clear_denominators(row)[0], curve.ints), d_ints)
+            for row in pencil.canonical
+        ]
+        if None in quotients:
+            return None
+        (a0, a1), (b0, b1) = quotients
+        if a0 * b1 == a1 * b0:
+            return None
+        secancy = SecancyResult(
+            degree=n - 1, d_form=d_form, smooth=True, is_n_minus_1_secant=True
+        )
+        space_checks.append(SpaceCheck(pencil=pencil, secancy=secancy))
+    return VerificationReport(
+        points=tuple(point_checks), spaces=tuple(space_checks), passed=True
+    )
+
+
+def _linear_quotient(f: Sequence[int], d: Sequence[int]) -> tuple[int, int] | None:
+    """(q0, q1) with f = d (q0 u + q1 s) for integer forms f of degree m
+    and d != 0 of degree m-1 (ascending coefficients of s), or None when
+    there is no such integer pair.  With a the lowest index where d is
+    nonzero, f_a = d_a q0 and f_(a+1) = d_(a+1) q0 + d_a q1 fix the pair;
+    every coefficient is then compared."""
+    a = next(k for k, c in enumerate(d) if c)
+    lower, upper = [0, *d], [*d, 0]  # d shifted by s, and padded
+    q0, r0 = divmod(f[a], d[a])
+    q1, r1 = divmod(f[a + 1] - upper[a + 1] * q0, d[a])
+    if r0 or r1 or any(fk != x * q0 + y * q1 for fk, x, y in zip(f, upper, lower)):
+        return None
+    return q0, q1
+
+
 def _verify_on_columns(curve: ParamRnc, datum, columns) -> VerificationReport:
     """`verify_datum`, locating points through `columns` (see `_locate`);
     the caller vouches that their matrix restricts to the curve as
@@ -572,15 +659,12 @@ def _transform_param_rnc(t: ProjTransform, curve: ParamRnc) -> ParamRnc:
         raise DimensionMismatch("transform and curve dimensions differ")
     n1 = curve.n + 1
     flat, _ = clear_denominators(x for row in t.matrix.entries for x in row)
-    new_forms = []
-    for i in range(n1):
-        acc = [0] * n1
-        for a, row in zip(flat[i * n1: (i + 1) * n1], curve.ints):
-            if a:
-                for k, c in enumerate(row):
-                    acc[k] += a * c
-        new_forms.append(BinaryForm(curve.n, acc))
-    return ParamRnc(new_forms)
+    return ParamRnc(
+        [
+            BinaryForm(curve.n, _combine_rows(flat[i * n1: (i + 1) * n1], curve.ints))
+            for i in range(n1)
+        ]
+    )
 
 
 @register_transform(DetRnc)

@@ -8,6 +8,10 @@ on P^1.  Normalizing the first three point parameters to (0:1), (1:1),
 (1:0) by the unique Moebius map kills the reparametrization freedom, so
 two configurations are equivalent iff their normalized signatures are
 componentwise equal.
+
+The parameters come from the constructed curve's certificate, except for
+n+3 points: there the frame of `construct._frame_and_last` gives them in
+closed form, so no curve is built (`signature` states the proof).
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .binforms import BinaryForm
-from .construct import Datum, ExistenceCertificate, construct
-from .curves import ParamRnc, VerificationReport, verify_datum
+from .construct import Datum, ExistenceCertificate, _frame_and_last, construct
+from .curves import ParamRnc, VerificationReport, parameter, verify_datum
 from .errors import DimensionMismatch, NotGeneric, UnsupportedCaseError
 from .projective import ProjPoint, frame_map, transform
 
@@ -35,8 +39,16 @@ class Signature:
 
 
 def _signature_from_report(datum: Datum, report: VerificationReport) -> Signature:
-    params = [pc.param for pc in report.points]
-    d_forms = [sc.secancy.d_form for sc in report.spaces]
+    return _normalized(
+        datum,
+        [pc.param for pc in report.points],
+        [sc.secancy.d_form for sc in report.spaces],
+    )
+
+
+def _normalized(datum: Datum, params, d_forms) -> Signature:
+    """The signature of a datum whose points sit at `params` on its curve
+    and whose spaces cut it in the roots of `d_forms`."""
     t1, t2, t3 = params[0], params[1], params[2]
     try:
         # frame_map on P^1 sends its three inputs to (1:0), (0:1), (1:1)
@@ -82,11 +94,29 @@ def signature_from_curve(curve: ParamRnc, datum: Datum) -> Signature:
 
 def signature(datum: Datum) -> Signature:
     """Construct the unique interpolating curve and normalize the datum on
-    it.  Defined for the existence shapes with p >= 3."""
+    it.  Defined for the existence shapes with p >= 3.
+
+    For n+3 points (n >= 3) the parameters are read off the frame, with no
+    curve built.  `construct` takes the frame t of the first n+2 points and
+    the image q of the last one (`_frame_and_last`, which raises the same
+    errors here), and parametrizes the curve as t^-1 applied to
+    x_i = q_i prod_{j != i} (q_j s + u); a linear map and a common scale
+    of the forms leave the parameters of its points unchanged.  At
+    (1 : -q_i) every x_k with k != i has the factor q_i s + u = 0, and
+    x_i = q_i prod_{j != i} (q_j - q_i) != 0, as the q_j are distinct: that
+    is e_i, the image of point i <= n.  At (1 : 0) every x_i equals
+    prod_j q_j, the unit point, image of point n+1; at (0 : 1), x = q, the
+    image of the last point.  These are the parameters its certificate
+    reports, so the signatures agree.
+    """
     if datum.p < 3:
         raise UnsupportedCaseError(
             "signatures need at least three points to anchor the parameter line"
         )
+    if (datum.p, datum.l) == (datum.n + 3, 0) and datum.n >= 3:
+        _, q = _frame_and_last(datum.points)
+        params = [parameter(1, -qi) for qi in q] + [parameter(1, 0), parameter(0, 1)]
+        return _normalized(datum, params, ())
     result = construct(datum)
     if not isinstance(result, ExistenceCertificate):
         raise UnsupportedCaseError(

@@ -124,6 +124,12 @@ def _int_in(value, where: str) -> int:
     return value
 
 
+def _bool_in(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"expected true or false, got {value!r}", location=where)
+    return value
+
+
 def _obj_in(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError("expected a JSON object", location=where)
@@ -290,8 +296,10 @@ def _secancy_in(doc, where: str) -> SecancyResult:
     return SecancyResult(
         degree=_int_in(doc.get("degree"), f"{where}/degree"),
         d_form=_binform_in(doc.get("d_form"), f"{where}/d_form"),
-        smooth=bool(doc.get("smooth")),
-        is_n_minus_1_secant=bool(doc.get("is_n_minus_1_secant")),
+        smooth=_bool_in(doc.get("smooth"), f"{where}/smooth"),
+        is_n_minus_1_secant=_bool_in(
+            doc.get("is_n_minus_1_secant"), f"{where}/is_n_minus_1_secant"
+        ),
     )
 
 
@@ -318,7 +326,7 @@ def report_in(doc, where: str = "report") -> VerificationReport:
     points = tuple(
         PointCheck(
             point=_point_in(_obj_in(p, f"{where}/points[{i}]").get("point"), f"{where}/points[{i}]/point"),
-            on_curve=bool(p.get("on_curve")),
+            on_curve=_bool_in(p.get("on_curve"), f"{where}/points[{i}]/on_curve"),
             param=(
                 None
                 if p.get("param") is None
@@ -334,7 +342,9 @@ def report_in(doc, where: str = "report") -> VerificationReport:
         )
         for i, s in enumerate(_list_in(doc.get("spaces", []), f"{where}/spaces"))
     )
-    return VerificationReport(points=points, spaces=spaces, passed=bool(doc.get("passed")))
+    return VerificationReport(
+        points=points, spaces=spaces, passed=_bool_in(doc.get("passed"), f"{where}/passed")
+    )
 
 
 def certificate_out(cert: ExistenceCertificate) -> dict:

@@ -30,11 +30,25 @@ parameter, and `chord_space_by_points` takes the kernel of the curve points
 (`pencil_from_points`); the library evaluates the integer coefficients at
 the integerized parameter and reads chord spaces off the curve's cached
 integer inverse.
+
+`substitute_by_fractions` composes a binary form with a Moebius map by
+multiplying `Fraction` forms; the library expands the map in integers and
+divides by the common denominator once.
+
+`verify_output_by_recomputation` is `rncgeo verify` on an existence
+certificate with every claim recomputed: `verify_datum` on the document's
+curve (one inverse, one gcd per space), compared with the claimed report.
+The library checks the claims by evaluation and recomputes only when one
+fails.
 """
 
+import json
+
 from rncgeo.binforms import BinaryForm
-from rncgeo.curves import DetRnc, ParamRnc, parameter
-from rncgeo.errors import RepeatedParameter, ZeroParameter
+from rncgeo.cli import _error_doc, _exit_code_for
+from rncgeo.construct import METHODS
+from rncgeo.curves import DetRnc, ParamRnc, curve_equals, parameter, verify_datum
+from rncgeo.errors import GeometryError, RepeatedParameter, ZeroParameter
 from rncgeo.linalg import (
     Matrix,
     _int_rows,
@@ -52,6 +66,7 @@ from rncgeo.quadrics import (
     point_value_row,
 )
 from rncgeo.scalars import QQ, integerize
+from rncgeo.serialize import VERSION, certificate_in, report_out
 
 
 def quadric_space(curve) -> tuple:
@@ -295,3 +310,44 @@ def chord_space_by_points(curve, params):
         seen.add(t)
         pts.append(point_at_by_fractions(curve, *t.coords))
     return pencil_from_points(pts)
+
+
+def substitute_by_fractions(form, a, b, c, d) -> BinaryForm:
+    """sum_k c_k (a s + b u)^k (c s + d u)^(deg - k) over `Fraction` forms."""
+    deg = form.degree
+    first = BinaryForm(1, [b, a])
+    second = BinaryForm(1, [d, c])
+    fp = [BinaryForm.constant_one()]
+    sp = [BinaryForm.constant_one()]
+    for _ in range(deg):
+        fp.append(fp[-1] * first)
+        sp.append(sp[-1] * second)
+    out = BinaryForm.zero(deg)
+    for k, coeff in enumerate(form.coeffs):
+        if coeff:
+            out = out + coeff * (fp[k] * sp[deg - k])
+    return out
+
+
+def verify_output_by_recomputation(doc) -> tuple[int, str]:
+    """The exit code and stdout of `rncgeo verify` on an existence
+    certificate document: the report of its datum on its curve, recomputed,
+    passes when the claimed report, the method and the matrix all agree
+    with it."""
+    try:
+        cert = certificate_in(doc)
+        report = verify_datum(cert.curve, cert.datum)
+        passed = (
+            report.passed
+            and report == cert.report
+            and cert.method in METHODS
+            and curve_equals(cert.curve, cert.det)
+        )
+    except GeometryError as exc:
+        return _exit_code_for(exc), _dumped(_error_doc(exc))
+    out = {"version": VERSION, "kind": "verification", **report_out(report), "passed": passed}
+    return (0 if passed else 10), _dumped(out)
+
+
+def _dumped(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

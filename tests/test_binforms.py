@@ -12,7 +12,11 @@ from rncgeo.binforms import (
     form_from_roots,
     is_squarefree,
 )
+from rncgeo.curves import ParamRnc, reparametrize
 from rncgeo.errors import BothZero, ZeroForm
+from rncgeo.generate import random_rnc, rng_from_seed
+
+from reference import substitute_by_fractions
 
 # fixtures: s*u^2 - s^2*u = su(u-s) and s^2*u - s^3 = s^2(u-s)
 F_SU = BinaryForm(3, [0, 1, -1, 0])
@@ -117,3 +121,30 @@ def test_substitute_agrees_with_evaluation(mat, param):
     assert f.substitute(a, b, c, d).evaluate(s, u) == f.evaluate(
         QQ(a) * s + QQ(b) * u, QQ(c) * s + QQ(d) * u
     )
+
+
+rationals = st.builds(QQ, st.integers(-49, 49), st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(rationals, min_size=4, max_size=4),
+    st.lists(rationals, min_size=1, max_size=7),
+)
+def test_substitute_matches_the_fraction_expansion(entries, coeffs):
+    # any entries, singular and zero maps included: the expansion is the
+    # same polynomial identity
+    f = BinaryForm(len(coeffs) - 1, coeffs)
+    assert f.substitute(*entries) == substitute_by_fractions(f, *entries)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(rationals, min_size=4, max_size=4).filter(lambda m: m[0] * m[3] != m[1] * m[2]),
+    st.integers(1, 6),
+    st.integers(0, 2**32),
+)
+def test_reparametrize_matches_the_fraction_expansion(entries, n, seed):
+    curve = random_rnc(n, rng_from_seed(seed))
+    expected = ParamRnc([substitute_by_fractions(f, *entries) for f in curve.forms])
+    assert reparametrize(curve, *entries) == expected

@@ -5,6 +5,11 @@ one leaf or one key of it with an arbitrary JSON value; `expect` and
 `random-datum` get arbitrary integer arguments instead.  Whatever the
 input, `cli.main` must return a documented exit code and print exactly one
 JSON document, and no exception may escape it.
+
+The claims of a certificate get their own mutations: a point's parameter
+or a coefficient of a space's d-form replaced by another rational.  There
+`verify` must print the bytes and return the exit code of the route that
+recomputes every claim.
 """
 
 import contextlib
@@ -21,6 +26,8 @@ from rncgeo.construct import construct
 from rncgeo.generate import forward_datum, random_datum, rng_from_seed
 from rncgeo.postulation import quartic_shape_spec
 from rncgeo.serialize import certificate_out, datum_out, scheme_spec_out
+
+from reference import verify_output_by_recomputation
 
 EXIT_CODES = {0, 10, 11, 12, 13}
 
@@ -85,7 +92,7 @@ def run_cli(argv):
         code = main(argv)
     assert code in EXIT_CODES, (argv, code)
     json.loads(out.getvalue())  # exactly one document
-    return code
+    return code, out.getvalue()
 
 
 def run_with_document(command, doc):
@@ -103,14 +110,14 @@ def run_with_document(command, doc):
 def test_unmutated_documents_succeed():
     expected = {"construct": 0, "verify": 0, "obstruct": 10, "hilbert": 0, "equivalent": 0}
     for command, doc in DOCUMENTS.items():
-        assert run_with_document(command, doc) == expected[command], command
+        assert run_with_document(command, doc)[0] == expected[command], command
 
 
 def test_non_integer_binary_form_degree_is_a_parse_error():
     # found by the fuzz below: a null degree once escaped as a TypeError
     slot = ("value", ("report", "spaces", 0, "secancy", "d_form", "degree"))
     for new in (None, "3", 2.0):
-        assert run_with_document("verify", _mutated(DOCUMENTS["verify"], slot, new)) == 13
+        assert run_with_document("verify", _mutated(DOCUMENTS["verify"], slot, new))[0] == 13
 
 
 def _document_fuzz(command):
@@ -127,6 +134,28 @@ test_fuzz_verify = _document_fuzz("verify")
 test_fuzz_obstruct = _document_fuzz("obstruct")
 test_fuzz_hilbert = _document_fuzz("hilbert")
 test_fuzz_equivalent = _document_fuzz("equivalent")
+
+
+claim_rationals = st.integers(-30, 30) | st.builds(
+    lambda a, b: f"{a}/{b}", st.integers(-30, 30), st.integers(1, 9)
+)
+
+
+@FUZZ
+@given(index=st.integers(0, 2), param=st.lists(claim_rationals, min_size=2, max_size=2))
+def test_fuzz_verify_parameter_claims(index, param):
+    doc = _mutated(DOCUMENTS["verify"], ("value", ("report", "points", index, "param")), param)
+    output = run_with_document("verify", doc)
+    assert output == verify_output_by_recomputation(doc)
+
+
+@FUZZ
+@given(index=st.integers(0, 2), k=st.integers(0, 2), value=claim_rationals)
+def test_fuzz_verify_d_form_claims(index, k, value):
+    slot = ("value", ("report", "spaces", index, "secancy", "d_form", "coeffs", k))
+    doc = _mutated(DOCUMENTS["verify"], slot, value)
+    output = run_with_document("verify", doc)
+    assert output == verify_output_by_recomputation(doc)
 
 
 @FUZZ

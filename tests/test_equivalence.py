@@ -1,6 +1,13 @@
+import contextlib
+import io
+import json
+import sys
+
 import pytest
 
+from rncgeo import curves, equivalence
 from rncgeo.binforms import form_from_roots
+from rncgeo.cli import main
 from rncgeo.construct import Datum, construct
 from rncgeo.curves import (
     chord_space,
@@ -10,9 +17,10 @@ from rncgeo.curves import (
     reparametrize,
 )
 from rncgeo.equivalence import Signature, are_equivalent, signature, signature_from_curve
-from rncgeo.errors import DimensionMismatch, UnsupportedCaseError
+from rncgeo.errors import DimensionMismatch, NotGeneric, UnsupportedCaseError
 from rncgeo.generate import forward_datum, random_transform, rng_from_seed
-from rncgeo.projective import apply_transform
+from rncgeo.projective import ProjPoint, apply_transform
+from rncgeo.serialize import datum_out
 
 
 def moment_datum_points(ts):
@@ -111,3 +119,69 @@ def test_discrimination_on_random_pairs():
         a, _ = forward_datum(n, p, l, rng)
         b, _ = forward_datum(n, p, l, rng)
         assert not are_equivalent(a, b)
+
+
+def test_equivalent_of_n_plus_3_points_builds_no_curve(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the frame gives the parameters")
+
+    monkeypatch.setattr(equivalence, "construct", forbidden)
+    # `import rncgeo.construct` yields the re-exported function
+    monkeypatch.setattr(sys.modules["rncgeo.construct"], "param_to_det", forbidden)
+    monkeypatch.setattr(curves, "param_to_det", forbidden)
+    for n in (3, 5, 8):
+        rng = rng_from_seed(("frame-equivalent", n))
+        datum, _ = forward_datum(n, n + 3, 0, rng)
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        left.write_text(json.dumps(datum_out(datum)))
+        right.write_text(json.dumps(datum_out(apply_transform(random_transform(n, rng), datum))))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["equivalent", str(left), str(left)]) == 0
+            assert main(["equivalent", str(left), str(right)]) == 0
+
+
+def _construct_signature(datum):
+    return equivalence._signature_from_report(datum, construct(datum).report)
+
+
+def test_frame_signatures_equal_the_constructed_ones():
+    count = 0
+    for n in range(3, 10):
+        for seed in range(15):
+            rng = rng_from_seed(("frame-signature", n, seed))
+            datum, _ = forward_datum(n, n + 3, 0, rng)
+            image = apply_transform(random_transform(n, rng), datum)
+            for d in (datum, image):
+                assert equivalence.signature(d) == _construct_signature(d), (n, seed)
+                count += 1
+    assert count >= 200
+
+
+def _raised(call, datum):
+    try:
+        call(datum)
+    except NotGeneric as exc:
+        return type(exc), exc.stage, str(exc)
+    return None
+
+
+def test_frame_signatures_refuse_non_general_points_like_construct():
+    rng = rng_from_seed("frame-special")
+    n = 4
+    datum, _ = forward_datum(n, n + 3, 0, rng)
+    points = list(datum.points)
+    e = [ProjPoint([int(i == j) for j in range(n + 1)]) for i in range(n + 1)]
+    cases = {
+        # n+1 dependent frame points, last frame point on a face, last point
+        # on a coordinate hyperplane of the frame, last point dependent on
+        # the unit point and n-1 frame points
+        "frame_map": [points[0]] + points[:n] + points[n + 1:],
+        "frame_map weights": e + [ProjPoint([1, 1, 1, 1, 0])] + points[-1:],
+        "hyperplane": e + [ProjPoint([1] * (n + 1)), ProjPoint([0, 1, 2, 3, 4])],
+        "dependent": e + [ProjPoint([1] * (n + 1)), ProjPoint([1, 1, 2, 3, 4])],
+    }
+    for name, pts in cases.items():
+        special = Datum(n=n, points=pts)
+        raised = _raised(equivalence.signature, special)
+        assert raised is not None, name
+        assert raised == _raised(_construct_signature, special), name

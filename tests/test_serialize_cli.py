@@ -352,6 +352,35 @@ def test_cli_verify_checks_the_embedded_report_and_method(tmp_path, capsys):
         assert verify_doc(tmp_path, capsys, tampered) == 10, name
 
 
+BOOLEAN_CLAIMS = {
+    "passed": lambda report: report,
+    "on_curve": lambda report: report["points"][0],
+    "smooth": lambda report: report["spaces"][0]["secancy"],
+    "is_n_minus_1_secant": lambda report: report["spaces"][0]["secancy"],
+}
+
+
+@pytest.mark.parametrize("field", BOOLEAN_CLAIMS)
+def test_cli_verify_boolean_claims_are_json_booleans(tmp_path, capsys, field):
+    # each flag was once read with bool(): "no", "false" and [0] passed as
+    # true, and a missing on_curve failed verification instead of parsing
+    datum, _ = random_datum(4, 3, 4, rng_from_seed(1), forward=True)
+    doc = construct_doc(tmp_path, capsys, datum)
+    assert verify_doc(tmp_path, capsys, doc) == 0
+    for value in ("no", "false", "true", [0], [], 1, 0, None, "missing"):
+        bad = json.loads(json.dumps(doc))
+        holder = BOOLEAN_CLAIMS[field](bad["report"])
+        if value == "missing":
+            del holder[field]
+        else:
+            holder[field] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(bad))
+        code, out = run_cli(capsys, "verify", str(path))
+        assert code == 13, (field, value)
+        assert json.loads(out)["error_class"] == "parse_error", (field, value)
+
+
 def test_cli_verify_accepts_other_matrices_of_the_same_curve(tmp_path, capsys):
     # verify locates points through the document's curve, not its matrix:
     # a genuine certificate with its det rows swapped, or its columns
