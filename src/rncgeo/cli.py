@@ -378,8 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("obstruct", help="produce a non-existence certificate")
-    p.add_argument("input", help="datum document with p >= 4, l >= 2")
+    p = sub.add_parser(
+        "obstruct", help="produce a non-existence certificate (p >= 4, l >= 2, any p + l)"
+    )
+    p.add_argument("input", help="datum document with p >= 4 points and l >= 2 spaces")
     p.set_defaults(func=cmd_obstruct)
 
     p = sub.add_parser("expect", help="condition count and classification")

@@ -29,7 +29,7 @@ NotGeneric with the stage and a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from .curves import (
@@ -51,7 +51,7 @@ from .errors import (
     NotGenericMatrix,
 )
 from .generate import distinct_parameters, retrying, rng_from_seed
-from .linalg import canonical_rowspace, ff_rank, nullspace
+from .linalg import ff_rank, nullspace
 from .obstruct import nonexistence_certificate
 from .projective import (
     LinForm,
@@ -64,8 +64,7 @@ from .projective import (
     unit_point,
 )
 from .binforms import BinaryForm, binary_gcd
-from .quadrics import linform_product_vector, monomial_index, monomials
-from .scalars import QQ, clear_denominators, integerize
+from .scalars import QQ, integerize
 
 
 class Datum:
@@ -398,12 +397,12 @@ def construct_np2_one_space(
     (f, g), with (A, B) unique once B_m = 0 (m the last nonzero column of
     f).  Those through the points, the kernel of one row f(p) p | g(p) p
     per point, form an (n-1)-dimensional system whose base locus is the
-    space plus the curve; each (A, B) gives a column (-B, A) of a 2 x n
-    matrix with first column (f, g).  The columns follow the basis
-    `nullspace` gives the quadrics (1 at one free monomial, 0 at the
-    others), which reversed in the monomial order is the RREF of the
-    reversed quadrics: one `canonical_rowspace` of
-    [reversed f A + g B | A | B] carries (A, B) into it.
+    space plus the curve, so any basis of it gives the curve: each vector
+    (A, B) of the `nullspace` basis gives a column (-B, A) of a 2 x n
+    matrix with first column (f, g).  The `np2:decomposition` check does
+    not depend on the basis wherever a curve exists: every member meets
+    the curve in degree n-1 + n+2 = 2n+1 > 2n and so contains it, and a
+    member f A or g B would put the curve in a hyperplane.
     """
     n = space.n
     if len(points) != n + 2:
@@ -428,23 +427,10 @@ def construct_np2_one_space(
             stage="np2:quadric_dimension",
             witness=len(kernel),
         )
-    # rows D [reversed f A + g B | A | B], in integers: D f, D g and a
-    # positive multiple of each kernel vector
-    fg, scale = clear_denominators(f.coeffs + g.coeffs)
-    idx = monomial_index(monomials(n, 2))
-    stack = []
-    for w in kernel:
-        split = integerize(w[: n + 1 + m] + [0] + w[n + 1 + m:])
-        quad = map(
-            add,
-            linform_product_vector(fg[: n + 1], split[: n + 1], idx),
-            linform_product_vector(fg[n + 1:], split[n + 1:], idx),
-        )
-        stack.append(list(quad)[::-1] + [scale * c for c in split])
     top: list[LinForm] = [f]
     bottom: list[LinForm] = [g]
-    for row in reversed(canonical_rowspace(stack)):
-        a_coeffs, b_coeffs = row[-2 * (n + 1): -(n + 1)], row[-(n + 1):]
+    for w in kernel:
+        a_coeffs, b_coeffs = w[: n + 1], w[n + 1: n + 1 + m] + [QQ(0)] + w[n + 1 + m:]
         if not any(a_coeffs) or not any(b_coeffs):
             raise NotGeneric(
                 "degenerate quadric decomposition", stage="np2:decomposition"
@@ -623,17 +609,18 @@ def _existence_constructor(n: int, p: int, l: int):
 def construct(datum: Datum):
     """Resolve a datum: a certificate, an obstruction, or an open case.
 
-    Shapes off the p + l = n + 3 line raise BadShape carrying the count
-    analysis; p >= 4, l >= 2 delegates to the obstruction module."""
+    p >= 4, l >= 2 delegates to the obstruction module at any total p + l;
+    other shapes off the p + l = n + 3 line raise BadShape carrying the
+    count analysis."""
     n, p, l = datum.n, datum.p, datum.l
     analysis = expected_count(n, p, l)
+    if p >= 4 and l >= 2:
+        return nonexistence_certificate(datum)
     if p + l != n + 3:
         raise BadShape(
             f"(p, l) = ({p}, {l}) is not a finite-count shape for n = {n}",
             analysis=analysis,
         )
-    if p >= 4 and l >= 2:
-        return nonexistence_certificate(datum)
     build = _existence_constructor(n, p, l)
     if build is not None:
         return build(datum)

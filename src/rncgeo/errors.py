@@ -84,7 +84,9 @@ class ObstructionFails(NotGeneric):
 
 
 class BadShape(GeometryError):
-    """A (p, l) shape outside the p + l = n + 3 regime.
+    """A (p, l) shape no route answers: off the p + l = n + 3 line
+    without four points and two spaces, or too few of either for the
+    obstruction.
 
     Carries the count analysis so callers can report the verdict instead.
     """

@@ -7,7 +7,8 @@ datum: a curve through four of the points and secant to both spaces would
 meet the quadric in degree at least 3 + 2(n-1-t) + 2t = 2n+1 > 2n (t being
 the degree of the scheme cut on the intersection of the two spaces, along
 which the quadric is singular), forcing the curve inside the quadric and
-contradicting the missed point.
+contradicting the missed point.  Only those four points and two spaces
+enter, so the argument holds whatever the total p + l is.
 
 The certificate stores what a machine can re-check exactly: the quadric,
 its containments, the nonzero value at the excluded point and the integer
@@ -126,20 +127,20 @@ def obstruction_quadric(
 
 
 def nonexistence_certificate(datum) -> ObstructionCertificate:
-    """Certify that no curve satisfies a generic p >= 4, l >= 2 datum.
+    """Certify that no curve satisfies a generic p >= 4, l >= 2 datum, at
+    any total p + l.
 
-    Uses the first two spaces and the first four points; if the quadric
-    vanishes at the fourth point the datum is special and ObstructionFails
-    reports it (without concluding existence).
+    Uses the first two spaces and the first four points, which is all the
+    argument needs; if the quadric vanishes at the fourth point the datum
+    is special and ObstructionFails reports it (without concluding
+    existence).
 
     `ObstructionCertificate.verify` is not run: the quadric is an exact
     kernel vector of the very rows `verify` rebuilds, the fourth point's
     value is checked nonzero here, and the ledger is built from n."""
     n, p, l = datum.n, datum.p, datum.l
-    if p < 4 or l < 2 or p + l != n + 3:
-        raise BadShape(
-            f"obstruction applies to p >= 4, l >= 2, p + l = n + 3; got ({p}, {l})"
-        )
+    if p < 4 or l < 2:
+        raise BadShape(f"obstruction applies to p >= 4, l >= 2; got ({p}, {l})")
     l1, l2 = datum.spaces[0], datum.spaces[1]
     p1, p2, p3, p4 = datum.points[:4]
     quad = obstruction_quadric(l1, l2, p1, p2, p3)

@@ -196,10 +196,11 @@ def quadric_kernel(points, space) -> list:
 
 
 def np2_matrix_by_linsolve(points, space) -> DetRnc:
-    """The matrix of `construct_np2_one_space` for the datum: column 1 is
+    """A matrix of the curve `construct_np2_one_space` builds: column 1 is
     the pencil (f, g), and every other column (-B, A) comes from a basis
     quadric of `quadric_kernel` written as f A + g B by `linsolve` (free
-    variables zero)."""
+    variables zero).  The constructor takes its columns from another basis
+    of the same quadric system, so the two differ by a column operation."""
     n = space.n
     f, g = space.canonical_forms()
     idx = monomial_index(monomials(n, 2))

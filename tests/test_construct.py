@@ -20,6 +20,8 @@ from rncgeo.construct import (
     expected_count,
     special_datum,
 )
+import rncgeo.linalg as linalg_module
+import rncgeo.projective as projective_module
 import rncgeo.quadrics as quadrics_module
 from rncgeo.curves import (
     _integer_columns,
@@ -50,7 +52,7 @@ from rncgeo.projective import (
     standard_frame,
 )
 
-from rncgeo.linalg import Matrix, nullspace
+from rncgeo.linalg import Matrix, canonical_rowspace, nullspace
 from reference import (
     generalized_column_kernel,
     np2_matrix_by_linsolve,
@@ -484,31 +486,61 @@ def test_constructors_reject_mixed_dimensions():
 
 def test_np2_splits_every_quadric_with_one_kernel(monkeypatch):
     # one small kernel solves for the splits f A + g B directly: no
-    # containment rows, and the matrix is the one that per-quadric
-    # `linsolve` builds from the kernel on all quadric monomials
+    # containment rows and no second elimination.  Columns 2..n are
+    # (-B, A) of the `nullspace` basis; the per-quadric `linsolve` route
+    # splits another basis of the same system, so its matrix defines the
+    # same curve, with the same coefficients and report
     module = sys.modules["rncgeo.construct"]
     original = module.nullspace
     calls = []
+    rowspaces = []
 
     def counting(m):
         calls.append(1)
         return original(m)
 
+    def counting_rowspace(rows):
+        rowspaces.append(1)
+        return canonical_rowspace(rows)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("the splits need no containment rows")
 
     assert not hasattr(module, "containment_rows")
+    assert not hasattr(module, "canonical_rowspace")
     for n in range(3, 10):
         datum, _ = forward_datum(n, n + 2, 1, rng_from_seed(("np2-split", n)))
         expected = np2_matrix_by_linsolve(datum.points, datum.spaces[0])
         with monkeypatch.context() as patch:
             patch.setattr(module, "nullspace", counting)
+            for owner in (linalg_module, projective_module):
+                patch.setattr(owner, "canonical_rowspace", counting_rowspace)
             patch.setattr(quadrics_module, "containment_rows", forbidden)
             patch.setattr(quadrics_module, "space_condition_rows", forbidden)
             calls.clear()
+            rowspaces.clear()
             cert = construct_np2_one_space(datum.points, datum.spaces[0])
         assert len(calls) == 1, n
-        assert cert.det == expected, n
+        assert not rowspaces, n
+        reference = ExistenceCertificate.make("np2_one_space", datum, expected)
+        assert cert.curve == reference.curve, n
+        assert cert.report == reference.report, n
+        assert curve_equals(cert.det, expected), n
+        f, g = datum.spaces[0].canonical_forms()
+        m = max(j for j, c in enumerate(f.coeffs) if c)
+        rows = [
+            [f.at(p) * c for c in p.coords]
+            + [g.at(p) * c for j, c in enumerate(p.coords) if j != m]
+            for p in datum.points
+        ]
+        kernel = nullspace(rows)
+        top, bottom = cert.det.m
+        assert len(kernel) == len(top) - 1 == n - 1, n
+        assert (top[0], bottom[0]) == (f, g), n
+        for k, w in enumerate(kernel, start=1):
+            b = w[n + 1: n + 1 + m] + [0] + w[n + 1 + m:]
+            assert top[k] == LinForm([-c for c in b]), (n, k)
+            assert bottom[k] == LinForm(w[: n + 1]), (n, k)
 
 
 def test_np2_special_quadric_system_keeps_its_witness():
@@ -531,21 +563,75 @@ def test_np2_special_quadric_system_keeps_its_witness():
         assert info.value.witness == n
 
 
-def test_spanning_tests_read_the_canonical_stack(monkeypatch):
+def _point_in(forms, rng):
+    """A random point of the common zero set of `forms`."""
+    basis = nullspace([list(form.coeffs) for form in forms])
+    while True:
+        weights = [rng.randint(-4, 4) for _ in basis]
+        coords = [sum(w * b[i] for w, b in zip(weights, basis)) for i in range(len(basis[0]))]
+        if any(coords):
+            return ProjPoint(coords)
+
+
+def _np2_special_data(n, seed):
+    """Data of the (n+2, 1) shape by kind, each with the stage the
+    constructor refuses it at (None for a certificate)."""
+    rng = random.Random(f"np2-stages-{n}-{seed}")
+    datum, _ = special_datum(n, "one_space", seed)
+    yield "special", None, datum.points, datum.spaces[0]
+    datum, _ = forward_datum(n, n + 2, 1, rng_from_seed(("np2-stages", n, seed)))
+    points, space = datum.points, datum.spaces[0]
+    on_space = _point_in([space.f, space.g], rng)
+    yield "on_space", "np2:datum", (on_space,) + points[1:], space
+    yield "repeated", "np2:quadric_dimension", (points[0],) + points[:-1], space
+    a, b = points[0].coords, points[1].coords
+    collinear = ProjPoint([x + (seed + 2) * y for x, y in zip(a, b)])
+    yield "collinear", "np2:conversion", points[:2] + (collinear,) + points[3:], space
+    # two points on a member of the pencil, the others on a hyperplane h:
+    # the quadric g h lies in the system, so no curve exists
+    h = LinForm([rng.randint(-3, 3) for _ in range(n)] + [1])
+    union = []
+    while len(union) < n + 2:
+        p = _point_in([space.g] if len(union) < 2 else [h], rng)
+        if not space.contains_point(p) and p not in union:
+            union.append(p)
+    yield "union", "np2:conversion", union, space
+    # the space and the unit points e_1..e_n in {x0 = 0}, two points off
+    # it: every quadric of the system is x0 times a form, so each split
+    # has B = 0
+    x0 = LinForm([1] + [0] * n)
+    plane = Pencil(x0, LinForm([0] + [rng.randint(1, 5) for _ in range(n)]))
+    inside = list(coordinate_points(n)[1:])
+    while len(inside) < n + 2:
+        p = ProjPoint([1] + [rng.randint(-5, 5) for _ in range(n)])
+        if p not in inside:
+            inside.append(p)
+    yield "hyperplane", "np2:decomposition", inside, plane
+
+
+def test_np2_refusals_keep_their_stages():
+    # each kind of special datum is refused at the same stage whichever
+    # basis of the quadric system gives the columns
+    for n in range(3, 7):
+        for seed in range(2):
+            for kind, stage, points, space in _np2_special_data(n, seed):
+                try:
+                    construct_np2_one_space(points, space)
+                except NotGeneric as exc:
+                    assert exc.stage == stage, (n, seed, kind)
+                else:
+                    assert stage is None, (n, seed, kind)
+
+
+def test_spanning_tests_read_the_canonical_stack():
     # the (2, n+1) spanning check and `generalized_column_for` use
-    # `Pencil.spanned_by`; their kernels match the dot-product loops
-    module = sys.modules["rncgeo.construct"]
-    curves_module = sys.modules["rncgeo.curves"]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("spanning is a 2 x 2 determinant")
-
-    assert not hasattr(curves_module, "canonical_rowspace")
+    # `Pencil.spanned_by`, a 2 x 2 determinant, so neither module has a
+    # row space to take; their kernels match the dot-product loops
+    for name in ("rncgeo.construct", "rncgeo.curves"):
+        assert not hasattr(sys.modules[name], "canonical_rowspace"), name
     for n in range(3, 8):
         datum, _ = forward_datum(n, 2, n + 1, rng_from_seed(("spanning", n)))
-        with monkeypatch.context() as patch:
-            patch.setattr(module, "canonical_rowspace", forbidden)
-            cert = construct_two_points(datum.points, datum.spaces)
+        cert = construct_two_points(datum.points, datum.spaces)
         top, bottom = ([form.coeffs for form in row] for row in cert.det.m)
         for pencil in datum.spaces:
             kernel = nullspace(pencil.membership_rows(top) + pencil.membership_rows(bottom))

@@ -276,6 +276,22 @@ def test_cli_hilbert(tmp_path, capsys):
     assert doc["explanation"]["ledger"]["intersection_lower_bound"] == 13
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cli_hilbert_explain_embeds_a_certificate_that_verifies(tmp_path, capsys, n):
+    # the quartic-shape witness is an (n+2, 1) existence certificate
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(scheme_spec_out(quartic_shape_spec(n, seed=1))))
+    code, out = run_cli(capsys, "hilbert", "--explain", str(path))
+    assert code == 0
+    cert = json.loads(out)["explanation"]["certificate"]
+    assert cert["method"] == "np2_one_space"
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    code, out = run_cli(capsys, "verify", str(cert_path))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def write_spec(tmp_path, n, degree):
     path = tmp_path / f"spec-{n}-{degree}.json"
     doc = {"version": 1, "kind": "scheme_spec", "n": n, "degree": degree}
@@ -448,6 +464,45 @@ def test_cli_random_datum_deterministic_and_oracle(tmp_path, capsys):
     assert verify_datum(curve, datum).passed
     # reconstruction against the oracle
     assert curve_equals(construct(datum).curve, curve)
+
+
+def _random_datum_file(tmp_path, capsys, n, p, l):
+    code, out = run_cli(capsys, "random-datum", str(n), str(p), str(l), "--seed", "1")
+    assert code == 0
+    path = tmp_path / f"datum-{n}-{p}-{l}.json"
+    path.write_text(json.dumps(json.loads(out)["datum"]))
+    return path
+
+
+@pytest.mark.parametrize("n, p, l", [(4, 4, 2), (6, 4, 2), (3, 6, 3), (5, 9, 4), (4, 6, 2)])
+def test_cli_obstruct_at_any_total(tmp_path, capsys, n, p, l):
+    # four points and two spaces carry the obstruction, on or off the
+    # p + l = n + 3 line; `construct` routes these shapes the same way
+    path = _random_datum_file(tmp_path, capsys, n, p, l)
+    code, out = run_cli(capsys, "obstruct", str(path))
+    assert code == 10
+    assert json.loads(out)["kind"] == "obstruction_certificate"
+    cert_path = tmp_path / "obstruction.json"
+    cert_path.write_text(out)
+    code, out = run_cli(capsys, "construct", str(path))
+    assert code == 10
+    assert out == cert_path.read_text()
+    code, out = run_cli(capsys, "verify", str(cert_path))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("n, p, l", [(3, 3, 1), (3, 7, 0), (4, 3, 5)])
+def test_cli_off_line_shapes_without_the_obstruction_stay_unsupported(tmp_path, capsys, n, p, l):
+    path = _random_datum_file(tmp_path, capsys, n, p, l)
+    code, out = run_cli(capsys, "obstruct", str(path))
+    assert code == 12
+    assert json.loads(out)["error_class"] == "bad_shape"
+    code, out = run_cli(capsys, "construct", str(path))
+    assert code == 12
+    doc = json.loads(out)
+    assert doc["error_class"] == "bad_shape"
+    assert doc["analysis"] == json.loads(run_cli(capsys, "expect", str(n), str(p), str(l))[1])
 
 
 def test_cli_random_datum_stdin_construct(tmp_path, capsys, monkeypatch):

@@ -26,13 +26,13 @@ from rncgeo.curves import (
     verify_datum,
 )
 from rncgeo.errors import NotGeneric
-from rncgeo.generate import distinct_parameters, forward_datum, random_rnc, rng_from_seed
+from rncgeo.generate import distinct_parameters, random_rnc, rng_from_seed
 from rncgeo.linalg import Matrix
 from rncgeo.scalars import format_rational
 from rncgeo.serialize import certificate_out
 
 from reference import verify_output_by_recomputation
-from test_golden import GOLDEN, GOLDEN_LARGE, SHAPES, bench_sized_datum
+from test_golden import GOLDEN, GOLDEN_LARGE, SHAPES, golden_datum
 
 
 def chord_datum(n, p, l, seed):
@@ -73,15 +73,7 @@ def verify_output(doc, tmp_path):
 def golden_certificates():
     """The certificates whose bytes `test_golden.py` pins."""
     for key in [*GOLDEN, *GOLDEN_LARGE]:
-        n, tag, seed = key.split(":")
-        n = int(n)
-        p, l = SHAPES[tag](n)
-        rng = rng_from_seed(("golden", n, tag, int(seed)))
-        if key in GOLDEN_LARGE:
-            datum = bench_sized_datum(n, p, l, rng)
-        else:
-            datum, _ = forward_datum(n, p, l, rng)
-        yield key, construct(datum)
+        yield key, construct(golden_datum(key))
 
 
 def test_golden_certificates_verify_with_the_recomputed_bytes(tmp_path):
