@@ -12,7 +12,7 @@ name, so `import rncgeo.construct as m` binds the function.  Use
 for the module object.
 """
 
-from .binforms import BinaryForm, binary_gcd, divide_exact, form_from_roots, is_squarefree
+from .binforms import BinaryForm, binary_gcd, form_from_roots, is_squarefree
 from .construct import (
     CountAnalysis,
     Datum,
@@ -68,7 +68,7 @@ from .errors import (
     ZeroForm,
     ZeroParameter,
 )
-from .linalg import Matrix, canonical_rowspace, ff_rank, nullspace
+from .linalg import Matrix, ff_rank, nullspace
 from .obstruct import (
     DegreeLedger,
     ObstructionCertificate,

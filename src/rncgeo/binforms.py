@@ -246,29 +246,3 @@ def is_squarefree(f: BinaryForm) -> bool:
         return True
     deriv = [i * fi[i] for i in range(1, d + 1)]
     return _deg(_poly_gcd_int(fi, deriv)) == 0
-
-
-def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """f / g when g divides f exactly; raises ValueError otherwise."""
-    if g.is_zero:
-        raise ZeroForm("division by the zero form")
-    if f.is_zero:
-        return BinaryForm.zero(f.degree - g.degree)
-    gd = _deg([1 if c else 0 for c in g.coeffs])
-    fd = _deg([1 if c else 0 for c in f.coeffs])
-    u_quot = (f.degree - fd) - (g.degree - gd)
-    if u_quot < 0 or fd < gd:
-        raise ValueError("not an exact divisor")
-    num = list(f.coeffs[: fd + 1])
-    den = list(g.coeffs[: gd + 1])
-    out = [QQ(0)] * (fd - gd + 1)
-    for k in range(fd - gd, -1, -1):
-        c = num[gd + k] / den[gd]
-        out[k] = c
-        if c:
-            for i in range(gd + 1):
-                num[k + i] -= c * den[i]
-    if any(num):
-        raise ValueError("not an exact divisor")
-    deg = (fd - gd) + u_quot
-    return BinaryForm(deg, out + [0] * u_quot)

@@ -235,7 +235,13 @@ def cmd_verify(args) -> int:
 
 def cmd_obstruct(args) -> int:
     datum = datum_in(_read_document(args.input))
-    cert = nonexistence_certificate(datum)
+    # the count comes first, as in `construct` and `expect`: n < 3 ends in
+    # bad_dimension, and a shape the obstruction cannot answer carries it
+    analysis = expected_count(datum.n, datum.p, datum.l)
+    try:
+        cert = nonexistence_certificate(datum)
+    except BadShape as exc:
+        raise BadShape(str(exc), analysis=analysis) from exc
     _emit(obstruction_out(cert), _obstruction_text(cert), args.format)
     return EXIT_NEGATIVE
 

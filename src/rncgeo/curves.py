@@ -27,9 +27,11 @@ a `ParamRnc` is a certified modular rank of those coefficients (one
 elimination mod p when, as for every curve, the rank is full).
 
 Equality has one algorithm: restricting a matrix to a parametrized curve
-(`_matrix_defines`), with no elimination.  A parametrization meets the
-other's transported Hankel matrix, and of two matrices the first is
-parametrized by `det_to_param`.
+(`_matrix_defines`), with no elimination and no gcd: integer products of
+the restricted columns and one certified rank.  A parametrization meets
+the other's transported Hankel matrix, and of two matrices the first is
+parametrized by `det_to_param`.  Chord spaces take their canonical stack
+in closed form (`projective.canonical_stack`).
 
 Intersections with codimension-two spaces are never split into points: the
 scheme is carried as the monic gcd of the two restricted pencil generators,
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .binforms import BinaryForm, binary_gcd, divide_exact, is_squarefree
+from .binforms import BinaryForm, _int_mul, binary_gcd, is_squarefree
 from .errors import (
     DimensionMismatch,
     NotGenericMatrix,
@@ -59,6 +61,7 @@ from .projective import (
     Pencil,
     ProjPoint,
     ProjTransform,
+    canonical_stack,
     register_transform,
     transform,
 )
@@ -432,8 +435,8 @@ def chord_space(curve: ParamRnc, params: Sequence) -> Pencil:
     curve's `_scaled_inverse`.  The pencil's f and g are the canonical
     `nullspace` basis of the points: its free columns are the lex-last
     columns on which the two forms are independent, so that basis is the
-    canonical stack of the pencil with its coordinates reversed, read
-    back in reverse.
+    `canonical_stack` of the two forms with their coordinates reversed,
+    read back in reverse.
     """
     n = curve.n
     seen = set()
@@ -450,10 +453,9 @@ def chord_space(curve: ParamRnc, params: Sequence) -> Pencil:
     if len(seen) != n - 1:
         raise DimensionMismatch(f"expected {n - 1} points spanning a P^{n - 2}")
     back = _scaled_inverse(curve)
-    forms = (  # D s, D u
-        LinForm(_combine_rows(r, back)[::-1]) for r in ([0] + d_form, d_form + [0])
+    (last, first), _ = canonical_stack(  # of D s and D u, reversed
+        *(_combine_rows(r, back)[::-1] for r in ([0] + d_form, d_form + [0]))
     )
-    last, first = Pencil(*forms).canonical
     return Pencil(LinForm(first[::-1]), LinForm(last[::-1]))
 
 
@@ -461,11 +463,25 @@ def _matrix_defines(curve: ParamRnc, det: DetRnc) -> bool:
     """True iff the rank-one locus of `det` is the image of `curve`.
 
     Restrict every column (T_j, B_j) to the curve: t_j = T_j(x),
-    b_j = B_j(x), binary forms of degree n.  Let (phi, psi) be the first
-    nonzero restricted column divided by its gcd.  The curves are equal iff
-    deg phi = 1, t_j psi = b_j phi for all j, and the quotients
-    h_j = t_j / phi (degree n-1) are linearly independent.
+    b_j = B_j(x), integer binary forms of degree n (each column jointly
+    scaled, which changes nothing below).  Let (t_1, b_1) be the first
+    nonzero restricted column.  The curves are equal iff
+    (a) t_1 and b_1 are not proportional,
+    (b) t_j b_1 = b_j t_1 for every j, and
+    (c) the t_j are linearly independent.
 
+    First, (a)-(c) say the same as the restriction criterion: with
+    g = gcd(t_1, b_1), phi = t_1 / g, psi = b_1 / g and k = deg phi,
+    k = 1, t_j psi = b_j phi for all j, and the quotients h_j = t_j / phi
+    are independent.  Given (a)-(c): k = 0 would make t_1 and b_1 both
+    multiples of g, so (a) gives k >= 1; (b) divided by g gives
+    t_j psi = b_j phi, so phi divides t_j, phi and psi being coprime; the
+    n forms h_j of degree n - k are independent by (c), so n <= n - k + 1
+    and k = 1.  Conversely, coprime linear phi and psi are not
+    proportional, multiplying by g gives (b), and t_j = phi h_j carries the
+    independence of the h_j over to the t_j.
+
+    That restriction criterion decides equality.
     (<=) A constant row operation takes (phi, psi) to (u, s) and a constant
     column operation takes the h_j to s^(j-1) u^(n-j); linear forms are
     determined by their restrictions (x is linearly normal), so the two
@@ -478,23 +494,26 @@ def _matrix_defines(curve: ParamRnc, det: DetRnc) -> bool:
     curve, hence a zero row; if deg phi >= 2 or the h_j are dependent, a
     column operation yields a zero column.  Either way the minors are
     dependent and cannot span I_2(C).
+
+    Only integer products and one certified rank run: no gcd, no division
+    and no `BinaryForm`.
     """
-    top, bottom = det.m
-    t = [restrict(curve, f) for f in top]
-    b = [restrict(curve, f) for f in bottom]
-    first = next(
-        ((tj, bj) for tj, bj in zip(t, b) if not (tj.is_zero and bj.is_zero)), None
-    )
-    if first is None or first[0].is_zero or first[1].is_zero:
+    n1 = curve.n + 1
+    rows = curve.ints
+    t, b = [], []
+    for col in _integer_columns(det):
+        t.append(_combine_rows(col[:n1], rows))
+        b.append(_combine_rows(col[n1:], rows))
+    first = next(((tj, bj) for tj, bj in zip(t, b) if any(tj) or any(bj)), None)
+    if first is None:
         return False
-    g = binary_gcd(*first)
-    phi, psi = divide_exact(first[0], g), divide_exact(first[1], g)
-    if phi.degree != 1:
+    t1, b1 = first
+    i = next(k for k in range(n1) if t1[k] or b1[k])
+    if all(t1[i] * y == b1[i] * x for x, y in zip(t1, b1)):
         return False
-    if any(tj * psi != bj * phi for tj, bj in zip(t, b)):
+    if any(_int_mul(tj, b1) != _int_mul(bj, t1) for tj, bj in zip(t, b)):
         return False
-    # phi and psi are coprime, so phi divides every t_j
-    return ff_rank([divide_exact(tj, phi).coeffs for tj in t]) == det.n
+    return ff_rank(t) == det.n
 
 
 def curve_equals(a, b) -> bool:

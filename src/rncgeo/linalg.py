@@ -5,8 +5,10 @@ scale matters, `scalars.clear_denominators`).  Determinants use one
 fraction-free (Bareiss) forward pass: every intermediate entry is a minor
 of the integer matrix, so there is no coefficient explosion beyond what
 the minors themselves require and no division error anywhere.
-Kernels use integer cross-elimination with content reduction,
-rationalizing only in the final normalization pass.
+Kernels and inverses use integer cross-elimination with content
+reduction, rationalizing only in the final normalization pass; they are
+the only reduced row echelon forms the library takes (the canonical stack
+of a pencil has a closed form, `projective.canonical_stack`).
 All n + 1 signed maximal minors of an n x (n+1) integer matrix come from
 one Bareiss forward pass and one exact back substitution.
 
@@ -476,13 +478,3 @@ def nullspace(m) -> list[Vector]:
             vec[c] = -rref_rows[r][f]
         basis.append(vec)
     return basis
-
-
-def canonical_rowspace(rows) -> tuple:
-    """Unique RREF representation of the row space, for exact subspace
-    equality tests.  Returns a tuple of tuples of scalars."""
-    ints = _int_rows(rows)
-    if not ints:
-        return ()
-    rref_rows, _ = _rref(ints, len(ints[0]))
-    return tuple(tuple(r) for r in rref_rows)

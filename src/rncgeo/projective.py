@@ -2,10 +2,12 @@
 of projective n-space.
 
 Codimension-two spaces are stored as a pair of independent linear forms plus
-the reduced row echelon form of their coefficient stack; the RREF stack is
-the identity of the pencil, so equality of spans is decidable exactly and
-pencils are hashable.  Every linear condition a pencil imposes (membership
-of a form, spanning by two members) is read off that stack in closed form.
+the reduced row echelon form of their coefficient stack, which
+`canonical_stack` gives in closed form (Cramer's rule on one 2 x 2 block,
+no elimination).  The RREF stack is the identity of the pencil, so equality
+of spans is decidable exactly and pencils are hashable.  Every linear
+condition a pencil imposes (membership of combinations of forms, spanning
+by two members) is read off that stack and its pivot columns.
 Points are canonicalized so the first nonzero coordinate is 1.
 
 Genericity is never assumed: anything that needs a rank condition checks it
@@ -17,8 +19,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DegenerateSpan, DimensionMismatch, NotGeneric
-from .linalg import Matrix, canonical_rowspace, nullspace
-from .scalars import QQ, as_qq
+from .linalg import Matrix, nullspace
+from .scalars import QQ, as_qq, integerize
 
 
 class ProjPoint:
@@ -75,25 +77,52 @@ class LinForm:
         return f"LinForm({[str(c) for c in self.coeffs]})"
 
 
+def canonical_stack(f: Sequence, g: Sequence) -> tuple[tuple, tuple[int, int]]:
+    """The reduced row echelon form Z of the stack of two coefficient
+    vectors, with its pivot columns (c0, c1), in closed form.
+
+    c0 is the first column where f and g are not both zero, and c1 the
+    first later column whose minor d = f[c0] g[c1] - f[c1] g[c0] is
+    nonzero.  Cramer's rule on that block gives
+    Z[0] = (g[c1] f - f[c1] g) / d and Z[1] = (f[c0] g - g[c0] f) / d:
+    rows of the same span with the identity at (c0, c1), zero left of c0,
+    and Z[1] zero between c0 and c1 because those minors vanish.  So Z is
+    the RREF.  f and g are integerized first (a positive rescaling of
+    either keeps the span), so only the output entries are fractions.
+    Raises DegenerateSpan when f and g are dependent.
+    """
+    f, g = integerize(f), integerize(g)
+    c0 = next((j for j, (a, b) in enumerate(zip(f, g)) if a or b), None)
+    if c0 is not None:
+        a0, b0 = f[c0], g[c0]
+        for c1 in range(c0 + 1, len(f)):
+            d = a0 * g[c1] - f[c1] * b0
+            if d:
+                a1, b1 = f[c1], g[c1]
+                z0 = tuple(QQ(b1 * x - a1 * y, d) for x, y in zip(f, g))
+                z1 = tuple(QQ(a0 * y - b0 * x, d) for x, y in zip(f, g))
+                return (z0, z1), (c0, c1)
+    raise DegenerateSpan("pencil forms are linearly dependent")
+
+
 class Pencil:
     """A codimension-two linear space { f = g = 0 }, f, g independent.
 
     Two pencils are equal iff their coefficient stacks span the same row
-    space, tested on the canonical RREF stack.
+    space, tested on the canonical RREF stack (`canonical_stack`), whose
+    pivot columns c0 < c1 are kept as `pivots`: a member h of the pencil
+    is h[c0] Z[0] + h[c1] Z[1].
     """
 
-    __slots__ = ("n", "f", "g", "canonical")
+    __slots__ = ("n", "f", "g", "canonical", "pivots")
 
     def __init__(self, f: LinForm, g: LinForm):
         if f.n != g.n:
             raise DimensionMismatch("pencil forms live on different spaces")
-        stack = canonical_rowspace([f.coeffs, g.coeffs])
-        if len(stack) != 2:
-            raise DegenerateSpan("pencil forms are linearly dependent")
+        self.canonical, self.pivots = canonical_stack(f.coeffs, g.coeffs)
         self.n = f.n
         self.f = f
         self.g = g
-        self.canonical = stack
 
     def __eq__(self, other):
         return isinstance(other, Pencil) and self.canonical == other.canonical
@@ -111,10 +140,6 @@ class Pencil:
     def contains_point(self, p: ProjPoint) -> bool:
         return not self.f.at(p) and not self.g.at(p)
 
-    def contains_form(self, form: LinForm) -> bool:
-        """Whether a hyperplane belongs to the span of the pencil forms."""
-        return not any(row[0] for row in self.membership_rows([form.coeffs]))
-
     def member_through(self, p: ProjPoint) -> tuple[LinForm, tuple[QQ, QQ]]:
         """The member of the pencil vanishing at p, with its coordinates
         (a, b) in the canonical basis (f, g); p must be off the pencil."""
@@ -128,19 +153,6 @@ class Pencil:
         coeffs = [a * x + b * y for x, y in zip(f.coeffs, g.coeffs)]
         return LinForm(coeffs), (a, b)
 
-    def _pivots(self) -> tuple[int, int]:
-        """The pivot columns c0 < c1 of the canonical stack Z; a member h
-        of the pencil is h[c0] Z[0] + h[c1] Z[1]."""
-        z0, z1 = self.canonical
-        return next(j for j, x in enumerate(z0) if x), next(j for j, x in enumerate(z1) if x)
-
-    def span_conditions(self) -> list[list[QQ]]:
-        """Vectors w such that a form h lies in the span iff w . h = 0 for
-        every w: the membership rows of the unit vectors, which are the
-        canonical `nullspace` basis of the stack."""
-        n1 = self.n + 1
-        return self.membership_rows([[int(k == j) for j in range(n1)] for k in range(n1)])
-
     def membership_rows(self, forms: Sequence[Sequence]) -> list[list[QQ]]:
         """The conditions 'sum_i k_i forms[i] lies in the span' on k, for
         forms given by coefficient vectors: one row per column j off the
@@ -148,7 +160,7 @@ class Pencil:
         h = forms[i].  Each row is a functional of h vanishing on Z[0] and
         Z[1]; on the unit vectors off the pivots the rows are the identity,
         so they are independent and cut out exactly the span."""
-        c0, c1 = self._pivots()
+        c0, c1 = self.pivots
         z0, z1 = self.canonical
         return [
             [h[j] - z0[j] * h[c0] - z1[j] * h[c1] for h in forms]
@@ -160,7 +172,7 @@ class Pencil:
         """Whether two members of the pencil (coefficient vectors) span it:
         their coordinates in the canonical basis are their entries at the
         pivots, so they span iff that 2 x 2 determinant is nonzero."""
-        c0, c1 = self._pivots()
+        c0, c1 = self.pivots
         return a[c0] * b[c1] != a[c1] * b[c0]
 
 

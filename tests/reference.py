@@ -8,10 +8,15 @@ quadrics through two curves.  The library decides it by restriction
 all quadric monomials and splits each quadric with its own `linsolve`;
 the library solves for the splits directly with one small kernel.
 
+`canonical_rowspace` is the reduced row echelon form of any row space, by
+elimination; the library takes the stack of a pencil in closed form
+(`projective.canonical_stack`).  `divide_exact` divides binary forms over
+`Fraction`s; the library's equality test divides nothing.
+
 `span_membership_kernel` and `generalized_column_kernel` take the kernels
 of the conditions "a combination lies in a pencil" from dot products with
-`nullspace(pencil.canonical)`; `spans_by_rowspace` and `contains_by_rowspace`
-compare row spaces.  The library reads all of these off the canonical stack.
+`nullspace(pencil.canonical)`; `spans_by_rowspace` compares row spaces.
+The library reads all of these off the canonical stack.
 
 `space_rows_by_inverse` builds the condition rows along a codimension-two
 space by completing the canonical stack to an invertible matrix with rank
@@ -44,19 +49,12 @@ fails.
 
 import json
 
-from rncgeo.binforms import BinaryForm
+from rncgeo.binforms import BinaryForm, _deg
 from rncgeo.cli import _error_doc, _exit_code_for
 from rncgeo.construct import METHODS
 from rncgeo.curves import DetRnc, ParamRnc, curve_equals, parameter, verify_datum
-from rncgeo.errors import GeometryError, RepeatedParameter, ZeroParameter
-from rncgeo.linalg import (
-    Matrix,
-    _int_rows,
-    _rref,
-    canonical_rowspace,
-    ff_rank,
-    nullspace,
-)
+from rncgeo.errors import GeometryError, RepeatedParameter, ZeroForm, ZeroParameter
+from rncgeo.linalg import Matrix, _int_rows, _rref, ff_rank, nullspace
 from rncgeo.projective import LinForm, ProjPoint, pencil_from_points
 from rncgeo.quadrics import (
     containment_rows,
@@ -67,6 +65,42 @@ from rncgeo.quadrics import (
 )
 from rncgeo.scalars import QQ, integerize
 from rncgeo.serialize import VERSION, certificate_in, report_out
+
+
+def canonical_rowspace(rows) -> tuple:
+    """Unique RREF representation of the row space, for exact subspace
+    equality tests.  Returns a tuple of tuples of scalars."""
+    ints = _int_rows(rows)
+    if not ints:
+        return ()
+    rref_rows, _ = _rref(ints, len(ints[0]))
+    return tuple(tuple(r) for r in rref_rows)
+
+
+def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """f / g when g divides f exactly; raises ValueError otherwise."""
+    if g.is_zero:
+        raise ZeroForm("division by the zero form")
+    if f.is_zero:
+        return BinaryForm.zero(f.degree - g.degree)
+    gd = _deg([1 if c else 0 for c in g.coeffs])
+    fd = _deg([1 if c else 0 for c in f.coeffs])
+    u_quot = (f.degree - fd) - (g.degree - gd)
+    if u_quot < 0 or fd < gd:
+        raise ValueError("not an exact divisor")
+    num = list(f.coeffs[: fd + 1])
+    den = list(g.coeffs[: gd + 1])
+    out = [QQ(0)] * (fd - gd + 1)
+    for k in range(fd - gd, -1, -1):
+        c = num[gd + k] / den[gd]
+        out[k] = c
+        if c:
+            for i in range(gd + 1):
+                num[k + i] -= c * den[i]
+    if any(num):
+        raise ValueError("not an exact divisor")
+    deg = (fd - gd) + u_quot
+    return BinaryForm(deg, out + [0] * u_quot)
 
 
 def quadric_space(curve) -> tuple:
@@ -179,11 +213,6 @@ def generalized_column_kernel(det, pencil) -> list:
 def spans_by_rowspace(pencil, a, b) -> bool:
     """Whether two coefficient vectors span exactly the pencil."""
     return any(a) and any(b) and canonical_rowspace([a, b]) == pencil.canonical
-
-
-def contains_by_rowspace(pencil, form) -> bool:
-    """Whether adding the form leaves the pencil's row space unchanged."""
-    return canonical_rowspace(list(pencil.canonical) + [form.coeffs]) == pencil.canonical
 
 
 def quadric_kernel(points, space) -> list:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rncgeo.binforms import (
     BinaryForm,
     binary_gcd,
-    divide_exact,
     form_from_roots,
     is_squarefree,
 )
@@ -16,7 +15,7 @@ from rncgeo.curves import ParamRnc, reparametrize
 from rncgeo.errors import BothZero, ZeroForm
 from rncgeo.generate import random_rnc, rng_from_seed
 
-from reference import substitute_by_fractions
+from reference import divide_exact, substitute_by_fractions
 
 # fixtures: s*u^2 - s^2*u = su(u-s) and s^2*u - s^3 = s^2(u-s)
 F_SU = BinaryForm(3, [0, 1, -1, 0])

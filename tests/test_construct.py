@@ -21,10 +21,10 @@ from rncgeo.construct import (
     special_datum,
 )
 import rncgeo.linalg as linalg_module
-import rncgeo.projective as projective_module
 import rncgeo.quadrics as quadrics_module
 from rncgeo.curves import (
     _integer_columns,
+    _interpolation,
     _verify_on_columns,
     chord_space,
     curve_equals,
@@ -52,7 +52,7 @@ from rncgeo.projective import (
     standard_frame,
 )
 
-from rncgeo.linalg import Matrix, canonical_rowspace, nullspace
+from rncgeo.linalg import Matrix, nullspace
 from reference import (
     generalized_column_kernel,
     np2_matrix_by_linsolve,
@@ -489,19 +489,23 @@ def test_np2_splits_every_quadric_with_one_kernel(monkeypatch):
     # containment rows and no second elimination.  Columns 2..n are
     # (-B, A) of the `nullspace` basis; the per-quadric `linsolve` route
     # splits another basis of the same system, so its matrix defines the
-    # same curve, with the same coefficients and report
+    # same curve, with the same coefficients and report.  That kernel is
+    # the only reduced row echelon form taken: pencils take their stack in
+    # closed form, so `linalg._rref` runs once (besides the interpolation
+    # matrix of degree n, inverted once per process and warmed here)
     module = sys.modules["rncgeo.construct"]
     original = module.nullspace
+    original_rref = linalg_module._rref
     calls = []
-    rowspaces = []
+    eliminations = []
 
     def counting(m):
         calls.append(1)
         return original(m)
 
-    def counting_rowspace(rows):
-        rowspaces.append(1)
-        return canonical_rowspace(rows)
+    def counting_rref(rows, ncols):
+        eliminations.append(1)
+        return original_rref(rows, ncols)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the splits need no containment rows")
@@ -511,17 +515,17 @@ def test_np2_splits_every_quadric_with_one_kernel(monkeypatch):
     for n in range(3, 10):
         datum, _ = forward_datum(n, n + 2, 1, rng_from_seed(("np2-split", n)))
         expected = np2_matrix_by_linsolve(datum.points, datum.spaces[0])
+        _interpolation(n)
         with monkeypatch.context() as patch:
             patch.setattr(module, "nullspace", counting)
-            for owner in (linalg_module, projective_module):
-                patch.setattr(owner, "canonical_rowspace", counting_rowspace)
+            patch.setattr(linalg_module, "_rref", counting_rref)
             patch.setattr(quadrics_module, "containment_rows", forbidden)
             patch.setattr(quadrics_module, "space_condition_rows", forbidden)
             calls.clear()
-            rowspaces.clear()
+            eliminations.clear()
             cert = construct_np2_one_space(datum.points, datum.spaces[0])
         assert len(calls) == 1, n
-        assert not rowspaces, n
+        assert len(eliminations) == 1, n
         reference = ExistenceCertificate.make("np2_one_space", datum, expected)
         assert cert.curve == reference.curve, n
         assert cert.report == reference.report, n
@@ -626,8 +630,9 @@ def test_np2_refusals_keep_their_stages():
 def test_spanning_tests_read_the_canonical_stack():
     # the (2, n+1) spanning check and `generalized_column_for` use
     # `Pencil.spanned_by`, a 2 x 2 determinant, so neither module has a
-    # row space to take; their kernels match the dot-product loops
-    for name in ("rncgeo.construct", "rncgeo.curves"):
+    # row space to take (no module of the library has one); their kernels
+    # match the dot-product loops
+    for name in ("rncgeo.construct", "rncgeo.curves", "rncgeo.projective", "rncgeo.linalg"):
         assert not hasattr(sys.modules[name], "canonical_rowspace"), name
     for n in range(3, 8):
         datum, _ = forward_datum(n, 2, n + 1, rng_from_seed(("spanning", n)))

@@ -6,11 +6,13 @@ must not eliminate at all when a parametrization meets a matrix.
 """
 
 import random
+from fractions import Fraction as QQ
 
 import pytest
 
 import rncgeo.curves as curves_module
 import rncgeo.linalg as linalg_module
+from rncgeo.binforms import BinaryForm
 from rncgeo.curves import (
     DetRnc,
     curve_equals,
@@ -171,8 +173,90 @@ def test_param_det_does_not_eliminate(monkeypatch):
     other = column_op(det, random_invertible_matrix(9, rng, 3))
     different = param_to_det(random_rnc(9, rng))
     monkeypatch.setattr(curves_module, "nullspace", forbidden)
-    # every RREF (`nullspace`, `canonical_rowspace`, `Matrix.inverse`)
+    # every RREF (`nullspace`, `Matrix.inverse`)
     monkeypatch.setattr(linalg_module, "_rref", forbidden)
+    # and no gcd, division or `Fraction` form: integer products only
+    for name in ("binary_gcd", "BinaryForm"):
+        monkeypatch.setattr(curves_module, name, forbidden)
     assert curve_equals(curve, other)
     assert not curve_equals(curve, duplicate_column(other))
     assert not curve_equals(curve, different)
+
+
+# -- the cases each clause of the restriction criterion catches --------------------
+
+
+def form_restricting_to(curve, target):
+    """The linear form whose restriction to the curve is d * target, for
+    the fixed d > 0 of `_scaled_inverse`; linear normality makes it unique."""
+    return LinForm(curves_module._combine_rows(target, curves_module._scaled_inverse(curve)))
+
+
+def zero_form(n):
+    """The zero linear form, which `LinForm` refuses to build."""
+    form = object.__new__(LinForm)
+    form.n, form.coeffs = n, (0,) * (n + 1)
+    return form
+
+
+def matrix_from_restrictions(curve, columns):
+    """The matrix whose column j restricts to the curve as d * columns[j]."""
+    return DetRnc(
+        [
+            [form_restricting_to(curve, col[r].coeffs) for col in columns]
+            for r in (0, 1)
+        ]
+    )
+
+
+def clause_cases(curve, rng):
+    """(label, matrix, expected) for the matrices that each clause of the
+    restriction criterion refuses, and two that define the curve."""
+    n = curve.n
+    u, s = BinaryForm(1, [0, 1]), BinaryForm(1, [1, 0])
+    monomials = [BinaryForm(n - 1, [int(k == j) for k in range(n)]) for j in range(n)]
+    hankel = [(u * h, s * h) for h in monomials]
+    genuine = matrix_from_restrictions(curve, hankel)
+    top, bottom = genuine.m
+    lam = rng.choice([2, -3, QQ(5, 7)])
+    phi = BinaryForm(2, [rng.randint(-3, 3), 1, rng.randint(1, 4)])
+    psi = BinaryForm(2, [1, rng.randint(-3, 3), 0])
+    quadratic = [BinaryForm(n - 2, [int(k == j) for k in range(n - 1)]) for j in range(n - 1)]
+    quadratic.append(quadratic[0] + quadratic[-1])
+    dependent = list(monomials)
+    dependent[-1] = monomials[0] - 3 * monomials[1]
+    zero = zero_form(n)
+    return [
+        ("genuine", genuine, True),
+        ("column op", column_op(genuine, random_invertible_matrix(n, rng, 3)), True),
+        ("proportional rows", DetRnc([top, [combine([f], [lam]) for f in top]]), False),
+        (
+            "quadratic factor",
+            matrix_from_restrictions(curve, [(phi * h, psi * h) for h in quadratic]),
+            False,
+        ),
+        (
+            "dependent columns",
+            matrix_from_restrictions(curve, [(u * h, s * h) for h in dependent]),
+            False,
+        ),
+        ("identity fails", DetRnc([[bottom[0], *top[1:]], [top[0], *bottom[1:]]]), False),
+        ("zero first column", DetRnc([[zero, *top[1:]], [zero, *bottom[1:]]]), False),
+        ("zero top entry", DetRnc([[zero, *top[1:]], list(bottom)]), False),
+        ("zero bottom entry", DetRnc([list(top), [zero, *bottom[1:]]]), False),
+    ]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_matrix_defines_clauses_agree_with_quadric_spaces(n, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the restriction criterion takes no gcd")
+
+    rng = random.Random(f"clauses-{n}")
+    curve = random_rnc(n, rng)
+    cases = clause_cases(curve, rng)
+    expected = [(label, quadric_space(det) == quadric_space(curve)) for label, det, _ in cases]
+    assert expected == [(label, want) for label, _, want in cases]
+    monkeypatch.setattr(curves_module, "binary_gcd", forbidden)
+    got = [(label, curves_module._matrix_defines(curve, det)) for label, det, _ in cases]
+    assert got == expected

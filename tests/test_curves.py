@@ -13,6 +13,7 @@ from rncgeo.curves import (
     _integer_columns,
     _locate,
     _matrix_defines,
+    _scaled_inverse,
     chord_space,
     curve_equals,
     det_to_param,
@@ -351,6 +352,27 @@ def test_chord_space_error_types(route):
                 route(c, [(k, 1) for k in range(count)])
     with pytest.raises(DimensionMismatch):
         route(rand_curve(2, rng), [(1, 1)])
+
+
+def test_chord_space_takes_no_elimination(monkeypatch):
+    # the stack of D s and D u comes from `canonical_stack`, so once the
+    # curve's integer inverse is cached a chord space runs no `_rref`
+    from rncgeo import linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chord spaces take their stack in closed form")
+
+    rng = random.Random("chord-no-elimination")
+    cases = []
+    for n in (3, 5, 8, 12):
+        c = rand_curve(n, rng)
+        params = mixed_parameters(rng, n - 1)
+        cases.append((c, params, chord_space_by_points(c, params)))
+        _scaled_inverse(c)
+    monkeypatch.setattr(linalg, "_rref", forbidden)
+    for c, params, want in cases:
+        got = chord_space(c, params)
+        assert (got.f, got.g, got.canonical) == (want.f, want.g, want.canonical)
 
 
 def test_curve_equals_reparametrization():

@@ -14,7 +14,6 @@ from rncgeo.linalg import (
     Matrix,
     _bareiss_forward,
     _certified_rank,
-    canonical_rowspace,
     ff_rank,
     nullspace,
     signed_maximal_minors,
@@ -28,7 +27,8 @@ from rncgeo.postulation import (
     quartic_shape_spec,
 )
 from rncgeo.scalars import integerize
-from reference import linsolve
+
+from reference import canonical_rowspace, linsolve
 
 
 def test_rank_identity():

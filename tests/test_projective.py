@@ -13,6 +13,7 @@ from rncgeo.projective import (
     ProjPoint,
     ProjTransform,
     apply_transform,
+    canonical_stack,
     coordinate_points,
     frame_map,
     pencil_from_points,
@@ -20,7 +21,7 @@ from rncgeo.projective import (
     unit_point,
 )
 from reference import (
-    contains_by_rowspace,
+    canonical_rowspace,
     frame_map_by_two_inverses,
     span_membership_kernel,
     spans_by_rowspace,
@@ -173,7 +174,6 @@ def test_member_through():
     point = ProjPoint([2, 3, 1, 1])
     member, (a, b) = pencil.member_through(point)
     assert member.at(point) == 0
-    assert pencil.contains_form(member)
     f, g = pencil.canonical_forms()
     assert [a * x + b * y for x, y in zip(f.coeffs, g.coeffs)] == list(member.coeffs)
     with pytest.raises(NotGeneric):
@@ -229,13 +229,19 @@ def stack_pencils(n, rng):
     return pencils
 
 
+def unit_rows(n):
+    return [[int(k == j) for j in range(n + 1)] for k in range(n + 1)]
+
+
 def test_span_conditions_are_the_canonical_nullspace():
+    # the membership rows of the unit vectors cut out the span: they are
+    # the canonical `nullspace` basis of the stack
     rng = random.Random("span-conditions")
     for n in range(3, 9):
         pivots = set()
         for pencil in stack_pencils(n, rng):
-            assert pencil.span_conditions() == nullspace(list(pencil.canonical)), n
-            pivots.add(pencil._pivots())
+            assert pencil.membership_rows(unit_rows(n)) == nullspace(list(pencil.canonical)), n
+            pivots.add(pencil.pivots)
         assert {(0, 1), (n - 1, n)} <= pivots
 
 
@@ -251,10 +257,6 @@ def test_membership_kernels_match_the_dot_product_loops():
                 kernel = nullspace(pencil.membership_rows([h.coeffs for h in forms]))
                 assert kernel == span_membership_kernel(forms, pencil), (n, size)
                 assert kernel
-            member, _ = pencil.member_through(ProjPoint([rng.randint(1, 5) for _ in range(n + 1)]))
-            for form in (member, f, g, random_form(n, rng), random_form(n, rng)):
-                assert pencil.contains_form(form) == contains_by_rowspace(pencil, form)
-            assert pencil.contains_form(member)
 
 
 def test_spanning_determinant_matches_the_rowspace_test():
@@ -277,6 +279,8 @@ def test_spanning_determinant_matches_the_rowspace_test():
 
 
 def test_stack_readings_do_not_eliminate(monkeypatch):
+    # pencils take their stack in closed form and read every condition off
+    # it, so no reduced row echelon form (`linalg._rref`) runs at all
     def forbidden(*args, **kwargs):
         raise AssertionError("read off the canonical stack, no elimination")
 
@@ -285,24 +289,87 @@ def test_stack_readings_do_not_eliminate(monkeypatch):
     for pencil in stack_pencils(6, rng):
         f, g = (form.coeffs for form in pencil.canonical_forms())
         x = [u - 2 * v for u, v in zip(f, g)]
-        other = random_form(6, rng)
         expected = (
+            canonical_rowspace([pencil.f.coeffs, pencil.g.coeffs]),
             nullspace(list(pencil.canonical)),
             spans_by_rowspace(pencil, f, x),
             spans_by_rowspace(pencil, x, [2 * c for c in x]),
-            contains_by_rowspace(pencil, LinForm(x)),
-            contains_by_rowspace(pencil, other),
         )
-        cases.append((pencil, f, x, other, expected))
+        cases.append((pencil.f, pencil.g, f, x, expected))
     for module in (projective_module, linalg_module):
         monkeypatch.setattr(module, "nullspace", forbidden)
-        monkeypatch.setattr(module, "canonical_rowspace", forbidden)
     monkeypatch.setattr(linalg_module, "_rref", forbidden)
-    for pencil, f, x, other, expected in cases:
+    for a, b, f, x, expected in cases:
+        pencil = Pencil(a, b)
         assert (
-            pencil.span_conditions(),
+            pencil.canonical,
+            pencil.membership_rows(unit_rows(6)),
             pencil.spanned_by(f, x),
             pencil.spanned_by(x, [2 * c for c in x]),
-            pencil.contains_form(LinForm(x)),
-            pencil.contains_form(other),
         ) == expected
+
+
+# -- the closed-form stack -------------------------------------------------------
+
+
+def rational_form(n, rng, zeros=()):
+    """Coefficients with negative and non-integer entries, zero at `zeros`."""
+    while True:
+        coeffs = [
+            0 if j in zeros else QQ(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, -5, 7]))
+            for j in range(n + 1)
+        ]
+        if any(coeffs):
+            return coeffs
+
+
+def stack_cases(n, rng):
+    """Pairs of coefficient vectors: seeded random pairs, leading zero
+    columns, pivots at (0, 1) and at (n-1, n), proportional leading
+    columns, and rational and negative entries."""
+    unit = unit_rows(n)
+    cases = [(unit[0], unit[1]), (unit[n - 1], unit[n]), (unit[n], unit[n - 1])]
+    cases.append(([0, 0, 0] + [-1] * (n - 2), [0, 0, 0, QQ(2, 3)] + [0] * (n - 3)))
+    for _ in range(12):
+        cases.append((rational_form(n, rng), rational_form(n, rng)))
+    lead = rng.randint(1, n - 2)
+    zeros = tuple(range(lead))
+    cases.append((rational_form(n, rng, zeros), rational_form(n, rng, zeros)))
+    for k in (1, 2, n - 1):
+        # the first k columns proportional: c1 comes after them
+        f = rational_form(n, rng, zeros=(0,))
+        f[0] = QQ(-3, 2)
+        g = [QQ(2, 5) * c for c in f[:k]] + rational_form(n, rng)[k:]
+        cases.append((f, g))
+    return cases
+
+
+def test_canonical_stack_equals_the_rref():
+    rng = random.Random("closed-form-stack")
+    for n in range(3, 13):
+        pivots = set()
+        for f, g in stack_cases(n, rng):
+            expected = canonical_rowspace([f, g])
+            if len(expected) < 2:
+                continue  # a random pair that happens to be dependent
+            stack, (c0, c1) = canonical_stack(f, g)
+            assert stack == expected, (n, f, g)
+            assert all(type(x) is QQ for row in stack for x in row)
+            assert (stack[0][c0], stack[0][c1], stack[1][c0], stack[1][c1]) == (1, 0, 0, 1)
+            assert c0 == min(j for j in range(n + 1) if f[j] or g[j]), (n, f, g)
+            pencil = Pencil(LinForm(f), LinForm(g))
+            assert (pencil.canonical, pencil.pivots) == (stack, (c0, c1))
+            pivots.add((c0, c1))
+        assert {(0, 1), (n - 1, n)} <= pivots, n
+
+
+def test_canonical_stack_refuses_dependent_forms():
+    rng = random.Random("dependent-stack")
+    for n in range(3, 13):
+        f = rational_form(n, rng, zeros=(0,))
+        for g in ([QQ(-7, 3) * c for c in f], list(f), [0] * (n + 1)):
+            with pytest.raises(DegenerateSpan):
+                canonical_stack(f, g)
+            assert len(canonical_rowspace([f, g])) == 1
+        with pytest.raises(DegenerateSpan):
+            Pencil(LinForm(f), LinForm([5 * c for c in f]))

@@ -3,7 +3,7 @@ from fractions import Fraction as QQ
 
 from rncgeo.errors import DegenerateSpan
 from rncgeo.generate import random_pencil, rng_from_seed
-from rncgeo.linalg import canonical_rowspace, ff_rank, nullspace
+from rncgeo.linalg import ff_rank, nullspace
 from rncgeo.projective import LinForm, Pencil, ProjPoint
 from rncgeo.quadrics import (
     containment_rows,
@@ -17,7 +17,7 @@ from rncgeo.quadrics import (
     point_value_row,
 )
 from rncgeo.scalars import integerize
-from reference import space_rows_by_inverse
+from reference import canonical_rowspace, space_rows_by_inverse
 
 
 def test_quadric_monomial_order_p3():

@@ -505,6 +505,27 @@ def test_cli_off_line_shapes_without_the_obstruction_stay_unsupported(tmp_path, 
     assert doc["analysis"] == json.loads(run_cli(capsys, "expect", str(n), str(p), str(l))[1])
 
 
+@pytest.mark.parametrize("n, p, l", [(3, 3, 1), (3, 7, 0), (4, 3, 5), (2, 4, 2), (2, 3, 1)])
+def test_cli_obstruct_error_documents_match_construct(tmp_path, capsys, n, p, l):
+    # `obstruct` takes the count first, as `construct` and `expect` do: a
+    # shape it cannot answer carries the analysis, and n < 3 is a bad
+    # dimension for all three commands
+    path = _random_datum_file(tmp_path, capsys, n, p, l)
+    code, out = run_cli(capsys, "obstruct", str(path))
+    obstruct_doc = json.loads(out)
+    construct_code, out = run_cli(capsys, "construct", str(path))
+    construct_doc = json.loads(out)
+    expect_code, out = run_cli(capsys, "expect", str(n), str(p), str(l))
+    if n < 3:
+        assert code == construct_code == expect_code == 13
+        for doc in (obstruct_doc, construct_doc, json.loads(out)):
+            assert doc["error_class"] == "bad_dimension"
+    else:
+        assert code == construct_code == 12
+        assert obstruct_doc["error_class"] == construct_doc["error_class"] == "bad_shape"
+        assert obstruct_doc["analysis"] == construct_doc["analysis"] == json.loads(out)
+
+
 def test_cli_random_datum_stdin_construct(tmp_path, capsys, monkeypatch):
     import io
 

@@ -2,8 +2,7 @@
 
 Every document, genuine or tampered, must get the exit code and the bytes
 of the route that recomputes every claim (`reference.py`); genuine
-certificates must get them without inverting a matrix or taking a
-secancy gcd.
+certificates must get them without an elimination, an inverse or a gcd.
 """
 
 import contextlib
@@ -13,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from rncgeo import curves
+from rncgeo import binforms, curves, linalg
 from rncgeo.binforms import form_from_roots
 from rncgeo.cli import main
 from rncgeo.construct import Datum, construct
@@ -200,3 +199,35 @@ def test_genuine_certificates_invert_nothing_and_take_no_secancy_gcd(monkeypatch
     tampered = _edited(docs[-1], lambda r: r["spaces"][0]["secancy"].update(smooth=False))
     assert verify_output(tampered, tmp_path)[0] == 10
     assert set(calls) == {"inverse", "secancy"}
+
+
+def test_genuine_verify_takes_no_elimination_and_no_gcd(monkeypatch, tmp_path):
+    # pencils take their stack in closed form and the curve-equality test
+    # runs on integer products, so a genuine certificate of any shape meets
+    # no reduced row echelon form, no inverse and no gcd
+    docs = [
+        certificate_out(chord_datum(n, *SHAPES[shape](n), 2)[0])
+        for n in range(3, 8)
+        for shape in SHAPES
+    ]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_rref", counted("_rref", linalg._rref))
+    monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
+    gcd = counted("binary_gcd", binforms.binary_gcd)
+    for module in (binforms, curves):
+        monkeypatch.setattr(module, "binary_gcd", gcd)
+    for doc in docs:
+        assert verify_output(doc, tmp_path)[0] == 0
+    assert calls == []
+    # the counters do count: a tampered claim takes the recomputing route
+    tampered = _edited(docs[-1], lambda r: r["spaces"][0]["secancy"].update(smooth=False))
+    assert verify_output(tampered, tmp_path)[0] == 10
+    assert set(calls) == {"_rref", "inverse", "binary_gcd"}
